@@ -7,8 +7,8 @@ GO ?= go
 # Minimum total -short test coverage (percent). Ratcheted from 67.8 to
 # 72.5 when the time-resolved observability layer landed, then to 73.0
 # with the adaptive sweep engine, then to 73.5 with congestion
-# attribution, then to 74.0 with shard-aware observability; `make cover`
-# fails below it so coverage can only go up.
+# attribution, then to 74.0; `make cover` fails below it so coverage can
+# only go up.
 COVER_FLOOR ?= 74.0
 
 .PHONY: all build test check vet fmt race bench bench-smoke bench-json cover fuzz-smoke staticcheck
@@ -51,28 +51,20 @@ fmt:
 # engine's tests (abort_test, saturation_test, converge_test, and the
 # expt adaptive determinism tests) live inside these packages, so the
 # early-abort detector and bisection search run under the race detector
-# on every check — as does the sharded single-sim engine (shard_test,
-# shard_equiv_test), whose worker goroutines, boundary outboxes and
-# shared packet pool are exactly what the race detector exists to vet,
-# and the sharded-observer suite (timeline/attribution/checker byte-
-# identity, sharded deadlock dump, ShardStats), which adds per-shard
-# observer state and coordinator merges to that surface.
+# on every check.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/obs/...
 	$(GO) test -race -short ./internal/expt/...
 
 # fuzz-smoke gives each differential fuzz target a short budget on top
 # of the committed seed corpus: FuzzSimEquivalence diffs the optimized
-# simulator against internal/sim/refsim, FuzzShardEquivalence adds the
-# shard-count dimension to the same three-way oracle (its committed
-# seeds include prime shard counts and more shards than routers),
-# FuzzResetEquivalence dirties a network, Resets it and requires the
-# rerun to match both a fresh build and the reference bit for bit,
-# FuzzSweepDeterminism diffs parallel sweeps against serial ones.
+# simulator against internal/sim/refsim, FuzzResetEquivalence dirties a
+# network, Resets it and requires the rerun to match both a fresh build
+# and the reference bit for bit, FuzzSweepDeterminism diffs parallel
+# sweeps against serial ones.
 # Failures print a replay spec for `wsswitch -replay`.
 fuzz-smoke:
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSimEquivalence$$' -fuzztime 10s
-	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzShardEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzResetEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSweepDeterminism$$' -fuzztime 10s
 
@@ -95,24 +87,21 @@ bench-smoke:
 
 # bench-json snapshots the guard benchmarks (simulator inner loop with
 # the timeline/tracer/attribution on and off, the saturated/knee
-# hot-loop guards, the sharded whole-run guards at 1/2/4/8 shards and
-# with the timeline/attribution observers attached, and the sweep
-# engine serial/parallel plus exhaustive/adaptive saturation
-# pairs: ns/op, allocs/op, cycles/op) into BENCH_sim.json so the perf
-# trajectory is machine-readable across commits. The *Off cases pin the
+# hot-loop guards, and the sweep engine serial/parallel plus
+# exhaustive/adaptive saturation pairs: ns/op, allocs/op, cycles/op)
+# into BENCH_sim.json so the perf trajectory is machine-readable across
+# commits. The *Off cases pin the
 # disabled observability paths at 0 allocs/op. benchjson -diff gates
 # the fresh numbers against the committed baseline — >15% ns/op
 # regressions, any allocation or beyond-tolerance B/op growth on a
 # zero-alloc guard, or a silently dropped benchmark fail the target
 # before the snapshot is overwritten (a geomean ns/op delta line prints
-# either way). Independently of the baseline, benchjson gates the
-# sharded guard's serial/4-shard ratio at >= 2x whenever the run had
-# GOMAXPROCS >= 4 (skipped with a notice on fewer cores). To
-# intentionally re-pin after a known change: make bench-json DIFF_FLAGS=
+# either way). To intentionally re-pin after a known change:
+# make bench-json DIFF_FLAGS=
 DIFF_FLAGS ?= -diff BENCH_sim.json
 bench-json:
 	{ $(GO) test -run NONE -short -bench 'BenchmarkSimCycle$$|BenchmarkSimTimeline|BenchmarkSimTracer|BenchmarkSweepSerial$$|BenchmarkSweepParallel$$|BenchmarkSweepReuse$$|BenchmarkSweepExhaustive$$|BenchmarkSweepAdaptive$$|BenchmarkNetworkResetVsBuild$$' -benchmem . ; \
-	  $(GO) test -run NONE -short -bench 'BenchmarkSimSteadyState|BenchmarkSimAttribution|BenchmarkSimCycleSaturated|BenchmarkSimCycleKnee$$|BenchmarkSimSharded' -benchmem ./internal/sim ; } \
+	  $(GO) test -run NONE -short -bench 'BenchmarkSimSteadyState|BenchmarkSimAttribution|BenchmarkSimCycleSaturated|BenchmarkSimCycleKnee$$' -benchmem ./internal/sim ; } \
 	| $(GO) run ./cmd/benchjson $(DIFF_FLAGS) > BENCH_sim.json.tmp
 	mv BENCH_sim.json.tmp BENCH_sim.json
 	@echo wrote BENCH_sim.json

@@ -14,17 +14,17 @@ func TestHistogramMergeMatchesUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const parts = 4
 	var union Histogram
-	shards := make([]Histogram, parts)
+	pieces := make([]Histogram, parts)
 	var all []float64
 	for i := 0; i < 8000; i++ {
 		v := float64(10 + rng.Intn(50000))
 		union.Observe(v)
-		shards[i%parts].Observe(v)
+		pieces[i%parts].Observe(v)
 		all = append(all, v)
 	}
 	var merged Histogram
-	for i := range shards {
-		merged.Merge(&shards[i])
+	for i := range pieces {
+		merged.Merge(&pieces[i])
 	}
 	if merged != union {
 		t.Fatal("merged histogram differs from union-fed histogram")

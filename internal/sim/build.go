@@ -86,8 +86,7 @@ type Network struct {
 	inState []portState
 	// portPipeM[r] summarizes the pipe masks at router level: bit p set
 	// when input port p of router r has a non-empty pipe mask. RC/VA
-	// scans set bits instead of loading every port's mask (ports >= 64
-	// shift out to nothing; wide routers scan every port regardless).
+	// scans set bits instead of loading every port's mask.
 	portPipeM []uint64
 
 	feedCh []int32 // channel feeding input port, -1 if terminal/unused
@@ -100,12 +99,11 @@ type Network struct {
 	outCredits []int32
 	outCh      []int32
 	outRRVA    []int32
-	// creditM[r] mirrors outCredits at router level for ports < 64: bit
-	// o set when output o has credits. Switch allocation starts its
-	// grantable-output mask from this word instead of re-testing every
-	// port's credit count; maintained at the two credit transitions
-	// (decrement to zero on forward, increment from zero on credit
-	// return). Wide routers (> 64 ports) test outCredits directly.
+	// creditM[r] mirrors outCredits at router level: bit o set when
+	// output o has credits. Switch allocation starts its grantable-output
+	// mask from this word instead of re-testing every port's credit
+	// count; maintained at the two credit transitions (decrement to zero
+	// on forward, increment from zero on credit return).
 	creditM   []uint64
 	outFreeVC []uint64
 
@@ -176,35 +174,15 @@ type Network struct {
 	// sequence number) assigned at allocation: every tie-break that used
 	// to key off the packet-table index (adaptive route choice, injection
 	// VC) keys off the salt instead, so packet ids are unobservable and
-	// any allocator — serial append/LIFO or the sharded pool — yields
-	// bit-identical traffic.
+	// the reference simulator's allocator yields bit-identical traffic.
 	pkts     []packetInfo
 	pktRoute []int32
 	pktSalt  []uint32
 	freePkts []int32
 
-	// pool, when non-nil, is the shared packet-id reserve the sharded
-	// engine refills per-shard freelists from (see shard.go). Serial
-	// runs leave it nil and grow the table by append.
-	pool *pktPool
-
-	// bnd holds this shard's boundary-channel redirects: producers whose
-	// channel crosses a shard cut carry a sentinel packed offset
-	// (lp <= -2) indexing this table instead of a local ring slot (see
-	// shard.go). Empty for serial runs.
-	bnd []bndRef
-
-	// plan caches the sharded execution layout — partition, per-shard
-	// ring layouts, boundary refs, outboxes and the shard Network copies
-	// — for the last shard count RunSharded ran with (see shard.go). It
-	// is derived purely from immutable structure, so it survives Reset
-	// and repeated sharded runs reuse it allocation-free.
-	plan *shardPlan
-
 	// termRng holds one private random stream per terminal (see
 	// TermRNG): injection draws from termRng[t], so the traffic
-	// realization is independent of the global injection scan order and
-	// identical whether terminals are stepped by one goroutine or many.
+	// realization is independent of the global injection scan order.
 	// termSeq counts packets generated per terminal (the salt input).
 	// The rand.Rand wrappers are allocated once over termSrc and kept
 	// for the network's lifetime; Reseed rewrites the 8-byte source
@@ -216,22 +194,8 @@ type Network struct {
 	// Scratch for switch allocation, reused across routers.
 	saWinner   []int32 // per output port: winning input-VC global index
 	saWinnerIn []int32 // per output port: the winner's input port
-	saStamp    []int64
-	saClock    int64
 
 	now int64
-
-	// Shard-local loop bounds: the router range [rLo,rHi) and terminal
-	// range [tLo,tHi) this Network instance steps. Build sets the full
-	// ranges; the sharded engine's per-shard copies narrow them (see
-	// shard.go). Terminals are assigned in router order, so a contiguous
-	// router range owns a contiguous terminal range.
-	rLo, rHi int
-	tLo, tHi int
-
-	// Grid shape captured from the topology (0 when not a mesh); the
-	// spatial partitioner aligns shard cuts to grid rows.
-	meshRows, meshCols int
 
 	// Statistics accumulators (managed by run.go).
 	measStart, measEnd int64
@@ -239,14 +203,11 @@ type Network struct {
 	// latSumR accumulates measured packet latencies per ejecting router.
 	// Each router completes its packets in cycle order regardless of how
 	// routers are interleaved, so the ascending-router fold of latSumR is
-	// the canonical float latency sum — identical for serial and sharded
-	// runs — installed into the final Stats and histogram (latencySum
-	// stays maintained in completion order for the convergence batcher).
-	latSumR []float64
-	// lastDone is the cycle the most recent measured packet completed on;
-	// the sharded engine takes the max across shards to reconstruct the
-	// exact serial drain-stop cycle.
-	lastDone     int64
+	// the canonical float latency sum — identical to the reference
+	// simulator's — installed into the final Stats and histogram
+	// (latencySum stays maintained in completion order for the
+	// convergence batcher).
+	latSumR      []float64
 	latHist      obs.Histogram // per measured packet, for percentiles; fixed memory
 	completed    int
 	measuredBorn int
@@ -273,28 +234,14 @@ type Network struct {
 	// and the packet-lifecycle flight recorder, both nil-checked on every
 	// event site like the probe. tlChanFlits is the timeline's
 	// per-channel interval counter (reset every sampling window).
-	// tlLatSumR accumulates the latencies of packets retired in the open
-	// window per ejecting router; the window close folds it in ascending
-	// router order — the canonical float-addition order shared by serial
-	// and sharded runs (the latSumR pattern), so a window closed by the
-	// serial loop and the same window merged from per-shard accumulators
-	// carry bit-identical latency sums.
 	tline       *obs.Timeline
 	tlChanFlits []int32
-	tlLatSumR   []float64
 	tr          *obs.FlightRecorder
 
 	// Congestion attribution (see attrib.go): per-packet stage
 	// decomposition and blame counters, nil-checked on every event site
 	// like the probe.
 	at *attribState
-
-	// shardStats, when non-nil, receives one shard-runtime record per
-	// RunSharded (epoch counts, barrier-wait vs busy wall-clock, outbox
-	// high-water marks, partition imbalance — see obs.ShardStats). The
-	// record is wall-clock instrumentation collected outside the
-	// deterministic simulation state; serial runs ignore it.
-	shardStats *obs.ShardStats
 }
 
 // Build instantiates a simulable network from a logical topology. Every
@@ -329,7 +276,10 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		numPorts[l.B] += int32(l.Lanes)
 	}
 	maxP := 0
-	for _, p := range numPorts {
+	for r, p := range numPorts {
+		if p > 64 {
+			return nil, fmt.Errorf("sim: router %d has %d ports (at most 64: port sets are tracked as 64-bit masks)", r, p)
+		}
 		if int(p) > maxP {
 			maxP = int(p)
 		}
@@ -364,15 +314,8 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		outFreeVC:    make([]uint64, R*maxP),
 		saWinner:     make([]int32, maxP),
 		saWinnerIn:   make([]int32, maxP),
-		saStamp:      make([]int64, maxP),
 		latSumR:      make([]float64, R),
 		termSeq:      make([]uint32, T),
-		rLo:          0,
-		rHi:          R,
-		tLo:          0,
-		tHi:          T,
-		meshRows:     t.MeshRows,
-		meshCols:     t.MeshCols,
 		logger:       cfg.Logger,
 	}
 	n.initTermRng(cfg.Seed)
@@ -537,7 +480,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 
 	n.creditM = make([]uint64, R)
 	for r := 0; r < R; r++ {
-		for o := 0; o < maxP && o < 64; o++ {
+		for o := 0; o < maxP; o++ {
 			if n.outCredits[r*maxP+o] > 0 {
 				n.creditM[r] |= uint64(1) << o
 			}
@@ -596,7 +539,7 @@ func fullVCMask(v int) uint64 { return uint64(1)<<v - 1 }
 // flattened view. It is a pure function of the topology's structure
 // (see topo.CanonicalHash), computed once per structurally distinct
 // topology and shared read-only across every Network built from it —
-// workers, sweep points, and shard copies all alias the same tables.
+// workers and sweep points all alias the same tables.
 type routeSet struct {
 	nextPorts [][][]int32
 	nextFlat  [][]int32

@@ -40,13 +40,6 @@ const (
 type checker struct {
 	opt CheckOptions
 
-	// eventsOnly marks a sharded worker's checker: the event-driven
-	// checks (loss/duplication, progress tracking, per-shard counters)
-	// run in-loop, but the structural scans and the watchdog are the
-	// coordinator's job at epoch barriers, where global state is settled
-	// (see shard.go).
-	eventsOnly bool
-
 	injected  int64 // flits placed on terminal injection channels
 	delivered int64 // flits ejected through terminal sinks
 
@@ -179,13 +172,8 @@ func (c *checker) noteComplete(pkt int32, pi *packetInfo, now int64) {
 
 // endCycle runs the structural scans at the configured cadence. It runs
 // at the end of step, a cycle boundary where every conservation sum is
-// settled. A sharded worker's checker skips it entirely: mid-epoch the
-// worker sees stale remote state, so the coordinator runs the scans at
-// barriers instead.
+// settled.
 func (c *checker) endCycle(n *Network) {
-	if c.eventsOnly {
-		return
-	}
 	if n.now%int64(c.opt.Every) == 0 {
 		c.checkConservation(n)
 		c.checkCredits(n)
@@ -198,16 +186,9 @@ func (c *checker) endCycle(n *Network) {
 // in-flight count is recomputed from scratch (input-VC occupancy plus
 // channel-ring occupancy), so a drifted counter anywhere shows up here.
 func (c *checker) checkConservation(n *Network) {
-	c.checkConservationAt(n.now, c.injected, c.delivered, n.BufferedFlits())
-}
-
-// checkConservationAt is the conservation assertion on explicit sums —
-// the sharded coordinator calls it at barriers with counters summed
-// across shards and a shard-aware in-flight recount.
-func (c *checker) checkConservationAt(now, injected, delivered, inFlight int64) {
-	if injected != delivered+inFlight {
+	if inFlight := n.BufferedFlits(); c.injected != c.delivered+inFlight {
 		c.violatef("cycle %d: flit conservation broken: injected %d != delivered %d + in-flight %d",
-			now, injected, delivered, inFlight)
+			n.now, c.injected, c.delivered, inFlight)
 	}
 }
 
@@ -216,6 +197,7 @@ func (c *checker) checkConservationAt(now, injected, delivered, inFlight int64) 
 // the downstream port's buffer depth. Terminal sinks (infinite-credit
 // ejection ports) have no channel and are exempt by construction.
 func (c *checker) checkCredits(n *Network) {
+	depth := int64(n.cfg.BufPerPort)
 	for ci := range n.channels {
 		ch := &n.channels[ci]
 		var onRing, credInFlight int64
@@ -229,38 +211,23 @@ func (c *checker) checkCredits(n *Network) {
 				credInFlight++
 			}
 		}
-		if c.checkCreditChannel(n, ci, onRing, credInFlight) {
+		var upstream int64
+		if ch.srcTerm >= 0 {
+			upstream = int64(n.srcCredit[ch.srcTerm])
+		} else {
+			upstream = int64(n.outCredits[int(ch.srcRouter)*n.maxP+int(ch.srcPort)])
+		}
+		in := int32(ch.dstRouter)*int32(n.maxP) + int32(ch.dstPort)
+		var buffered int64
+		for v := int32(0); v < int32(n.V); v++ {
+			buffered += int64(n.vcHL[in*int32(n.V)+v] & 0xffff)
+		}
+		if got := upstream + onRing + buffered + credInFlight; got != depth {
+			c.violatef("cycle %d: credit conservation broken on channel %d (->r%d.p%d): credits %d + ring %d + buffered %d + cred-in-flight %d = %d, want %d",
+				n.now, ci, ch.dstRouter, ch.dstPort, upstream, onRing, buffered, credInFlight, got, depth)
 			return // one report per scan; the rest are usually the same fault
 		}
 	}
-}
-
-// checkCreditChannel closes channel ci's conservation equation given its
-// ring occupancy (flits on the ring, credits in flight); the upstream
-// credit level and downstream buffered flits come from the shared
-// router/terminal-indexed arrays, so the sharded coordinator can call it
-// at barriers after locating the ring words in the owning shards'
-// layouts. Reports at most one violation; returns true when it fired.
-func (c *checker) checkCreditChannel(n *Network, ci int, onRing, credInFlight int64) bool {
-	depth := int64(n.cfg.BufPerPort)
-	ch := &n.channels[ci]
-	var upstream int64
-	if ch.srcTerm >= 0 {
-		upstream = int64(n.srcCredit[ch.srcTerm])
-	} else {
-		upstream = int64(n.outCredits[int(ch.srcRouter)*n.maxP+int(ch.srcPort)])
-	}
-	in := int32(ch.dstRouter)*int32(n.maxP) + int32(ch.dstPort)
-	var buffered int64
-	for v := int32(0); v < int32(n.V); v++ {
-		buffered += int64(n.vcHL[in*int32(n.V)+v] & 0xffff)
-	}
-	if got := upstream + onRing + buffered + credInFlight; got != depth {
-		c.violatef("cycle %d: credit conservation broken on channel %d (->r%d.p%d): credits %d + ring %d + buffered %d + cred-in-flight %d = %d, want %d",
-			n.now, ci, ch.dstRouter, ch.dstPort, upstream, onRing, buffered, credInFlight, got, depth)
-		return true
-	}
-	return false
 }
 
 // checkVCIntegrity asserts wormhole packet integrity inside every input

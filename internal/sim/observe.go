@@ -20,14 +20,10 @@ func (n *Network) AttachTimeline(t *obs.Timeline) {
 	n.tline = t
 	if t == nil {
 		n.tlChanFlits = nil
-		n.tlLatSumR = nil
 		return
 	}
 	if n.tlChanFlits == nil {
 		n.tlChanFlits = make([]int32, len(n.channels))
-	}
-	if n.tlLatSumR == nil {
-		n.tlLatSumR = make([]float64, n.R)
 	}
 }
 
@@ -35,13 +31,10 @@ func (n *Network) AttachTimeline(t *obs.Timeline) {
 func (n *Network) Timeline() *obs.Timeline { return n.tline }
 
 // tickTimeline advances the sampler by one cycle and closes the window
-// at interval boundaries. Runs only with a timeline attached. The
-// occupancy scan covers this network's router range, so a sharded
-// worker's tick sums only its own routers (the coordinator adds the
-// per-shard contributions at the barrier).
+// at interval boundaries. Runs only with a timeline attached.
 func (n *Network) tickTimeline() {
 	var occ int64
-	for r := n.rLo; r < n.rHi; r++ {
+	for r := 0; r < n.R; r++ {
 		occ += int64(n.routerOcc[r])
 	}
 	if n.tline.Tick(occ) {
@@ -50,17 +43,9 @@ func (n *Network) tickTimeline() {
 }
 
 // closeTimelineWindow ends the open sampling window: the busiest
-// channel's flit count feeds the window's top utilization, the window's
-// latency sum is folded from the per-router accumulators in ascending
-// router order (the canonical order the sharded merge reproduces), and
-// both per-window counters reset.
+// channel's flit count feeds the window's top utilization, and the
+// per-channel counters reset.
 func (n *Network) closeTimelineWindow() {
-	n.tline.EndIntervalSum(n.takeWindowMaxFlits(), n.takeWindowLatSum())
-}
-
-// takeWindowMaxFlits returns the busiest channel's flit count for the
-// open window and resets the per-channel counters.
-func (n *Network) takeWindowMaxFlits() int64 {
 	var maxFlits int32
 	for i, f := range n.tlChanFlits {
 		if f > maxFlits {
@@ -68,30 +53,8 @@ func (n *Network) takeWindowMaxFlits() int64 {
 		}
 		n.tlChanFlits[i] = 0
 	}
-	return int64(maxFlits)
+	n.tline.EndInterval(int64(maxFlits))
 }
-
-// takeWindowLatSum folds the open window's per-router retired-latency
-// sums in ascending router order and resets them. All latencies are
-// integer-valued, so the fold is exact in float64 and independent of the
-// order packets actually retired — serial and sharded runs produce the
-// same bits.
-func (n *Network) takeWindowLatSum() float64 {
-	var sum float64
-	for r := range n.tlLatSumR {
-		sum += n.tlLatSumR[r]
-		n.tlLatSumR[r] = 0
-	}
-	return sum
-}
-
-// SetShardStats attaches a shard-runtime collector: every RunSharded
-// records one obs.ShardRun into it (per-shard busy/barrier-wait time,
-// outbox high-water marks, epoch and partition shape); serial Run
-// ignores it. The record is wall-clock instrumentation collected outside
-// the deterministic simulation state, so attaching it never perturbs
-// results. Attaching nil detaches.
-func (n *Network) SetShardStats(s *obs.ShardStats) { n.shardStats = s }
 
 // Trace starts recording packet-lifecycle events into rec: head-of-
 // packet inject, per-router RC/VA/ST pipeline entries, and tail eject.

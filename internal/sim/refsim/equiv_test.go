@@ -134,22 +134,12 @@ func TestSimEquivalenceSaturation10k(t *testing.T) {
 // exact same case under wsswitch -replay.
 func TestSpecRoundTrip(t *testing.T) {
 	s := SpecFromRaw(3, 1, 2, 0, 1, 7, 2, 0, 1, 2, 3, 77, 150, -12345, 333)
-	s.Shards = 5
 	got, err := ParseSpec(s.String())
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", s.String(), err)
 	}
 	if got != s {
 		t.Fatalf("round trip changed spec:\n  in  %+v\n  out %+v", s, got)
-	}
-	// Tuples printed before the shard dimension existed must still parse
-	// (Shards defaults to 0 = serial-only).
-	old, err := ParseSpec("family=clos size=0 pattern=uniform link=1 load=0.25")
-	if err != nil {
-		t.Fatalf("ParseSpec without shards: %v", err)
-	}
-	if old.Shards != 0 {
-		t.Fatalf("missing shards parsed as %d, want 0", old.Shards)
 	}
 	if _, err := ParseSpec("family=clos bogus=1"); err == nil {
 		t.Fatalf("ParseSpec accepted unknown key")

@@ -43,75 +43,26 @@ func FuzzSimEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzShardEquivalence extends the differential harness with the shard
-// dimension: the raw tuple is FuzzSimEquivalence's plus one byte whose
-// low bits map to a shard count in [2, 11] and whose high bits switch
-// the shard-aware observers on (bit 5 attaches a timeline sampler to
-// both engines, bit 6 a congestion-attribution collector; their merged
-// snapshots must be byte-identical JSON). The sharded engine joins the
-// three-way Diff — reference, serial optimized and sharded must all
-// agree bit-for-bit. The count range deliberately includes primes that
-// never divide the router counts evenly and values above the smallest
-// topologies' router counts (mesh size 0 has 4 routers), so clamping
-// and maximally-uneven partitions are fuzzed too. This is a separate
-// target rather than a new SpecFromRaw parameter because Go fuzz corpus
-// entries are typed argument lists: extending the existing signature
-// would orphan FuzzSimEquivalence's corpus.
-func FuzzShardEquivalence(f *testing.F) {
-	// Seed corpus: prime shard counts (3, 7) across families, a power of
-	// two on the big clos, and shards far above the router count on the
-	// smallest mesh (shard raw 9 maps to 11 shards vs 4 routers).
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(200), uint8(1))
-	f.Add(uint8(1), uint8(0), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(9))
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(119), uint16(199), int64(424242), uint16(30), uint8(5))
-	f.Add(uint8(3), uint8(1), uint8(3), uint8(3), uint8(2), uint8(6), uint8(2), uint8(0), uint8(2), uint8(1), uint8(2), uint16(60), uint16(140), int64(987654321), uint16(420), uint8(1))
-	f.Add(uint8(0), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(1), uint8(1), uint16(50), uint16(150), int64(77), uint16(930), uint8(2))
-	f.Add(uint8(3), uint8(0), uint8(1), uint8(1), uint8(7), uint8(2), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), uint16(40), uint16(160), int64(-31), uint16(930), uint8(5))
-	// Observer-on seeds: timeline (32), attribution (64) and both (96),
-	// on prime and non-dividing shard counts, at the knee and past
-	// saturation — the merge paths with the most cross-shard traffic.
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(430), uint8(32+1))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(64+5))
-	f.Add(uint8(2), uint8(1), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(80), uint16(150), int64(424242), uint16(930), uint8(96+2))
-	f.Add(uint8(3), uint8(2), uint8(3), uint8(1), uint8(2), uint8(6), uint8(2), uint8(0), uint8(2), uint8(1), uint8(2), uint16(60), uint16(140), int64(11), uint16(700), uint8(96+9))
-	f.Fuzz(func(t *testing.T, family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term uint8,
-		warmup, measure uint16, seed int64, loadMil uint16, shardRaw uint8) {
-		s := SpecFromRaw(family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term, warmup, measure, seed, loadMil)
-		s.Shards = 2 + int(shardRaw)%10
-		s.Timeline = shardRaw&32 != 0
-		s.Attribution = shardRaw&64 != 0
-		rep, err := s.Diff()
-		if err != nil {
-			t.Fatalf("diff %s: %v", s, err)
-		}
-		if !rep.OK() {
-			t.Fatalf("simulators diverge; replay with: wsswitch -replay %q\n%s", s.String(), rep.Summary())
-		}
-	})
-}
-
 // FuzzResetEquivalence fuzzes Network.Reset against both oracles: a
-// network is deliberately dirtied — run once at a fuzz-chosen load and
-// seed, serially or sharded (dirty bit 0), so rings, credits, the
-// packet table, RNG streams and the cached shard plan all carry state —
-// then Reset to the spec's seed and run the spec. The result must match
-// a freshly built network bit for bit (Stats, latency histogram,
-// ordered delivery log) AND the dense reference simulator, with the
-// runtime invariant checker clean on the reset run. The raw tuple is
-// FuzzSimEquivalence's plus the dirty byte, a separate target for the
-// same reason FuzzShardEquivalence is one: extending the existing
-// signature would orphan its corpus.
+// network is deliberately dirtied — run once at the spec's load under
+// a different seed, so rings, credits, the packet table and the RNG
+// streams all carry state — then Reset to the spec's seed and run the
+// spec. The result must match a freshly built network bit for bit
+// (Stats, latency histogram, ordered delivery log) AND the dense
+// reference simulator, with the runtime invariant checker clean on the
+// reset run. The raw tuple is FuzzSimEquivalence's; it is a separate
+// target so each keeps its own corpus.
 func FuzzResetEquivalence(f *testing.F) {
 	// Seed corpus: one case per family — including both deadlock-capable
 	// families, where the dirty run stalls and hits the drain deadline —
-	// with serial and sharded dirtying, light and saturating dirty loads.
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(200), uint8(0))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550), uint8(1))
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(80), uint16(150), int64(424242), uint16(30), uint8(93))
-	f.Add(uint8(3), uint8(0), uint8(3), uint8(3), uint8(2), uint8(6), uint8(2), uint8(0), uint8(2), uint8(1), uint8(2), uint16(60), uint16(140), int64(987654321), uint16(420), uint8(7))
-	f.Add(uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(1), uint8(1), uint16(50), uint16(150), int64(77), uint16(930), uint8(255))
+	// at light and saturating loads.
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint16(40), uint16(100), int64(1), uint16(200))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint16(30), uint16(90), int64(-7), uint16(550))
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(11), uint8(0), uint8(2), uint8(2), uint8(2), uint8(3), uint16(80), uint16(150), int64(424242), uint16(30))
+	f.Add(uint8(3), uint8(0), uint8(3), uint8(3), uint8(2), uint8(6), uint8(2), uint8(0), uint8(2), uint8(1), uint8(2), uint16(60), uint16(140), int64(987654321), uint16(420))
+	f.Add(uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(1), uint8(1), uint16(50), uint16(150), int64(77), uint16(930))
 	f.Fuzz(func(t *testing.T, family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term uint8,
-		warmup, measure uint16, seed int64, loadMil uint16, dirty uint8) {
+		warmup, measure uint16, seed int64, loadMil uint16) {
 		s := SpecFromRaw(family, size, pattern, link, vcs, buf, pkt, rci, rco, pipe, term, warmup, measure, seed, loadMil)
 		top, err := s.Build()
 		if err != nil {
@@ -136,22 +87,14 @@ func FuzzResetEquivalence(f *testing.F) {
 		freshSt := fresh.Run(inject(), s.Load)
 		freshHist := fresh.LatencyHistogram()
 
-		// Dirty a second network at a different seed and load, then Reset
-		// it back to the spec's seed.
+		// Dirty a second network at a different seed, then Reset it back
+		// to the spec's seed.
 		reused, err := sim.Build(top, lat, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused.Reseed(s.Seed + 1 + int64(dirty))
-		dirtyLoad := 0.02 + float64(dirty%94)/100
-		dirtyInj := sim.RateInjector{Load: dirtyLoad, Pattern: traffic.Uniform(top.ExternalPorts()), PacketFlits: s.Pkt}
-		if dirty&1 != 0 {
-			if _, err := reused.RunSharded(dirtyInj, dirtyLoad, 2+int(dirty>>1)%3); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			reused.Run(dirtyInj, dirtyLoad)
-		}
+		reused.Reseed(s.Seed + 1)
+		reused.Run(inject(), s.Load)
 		reused.Reset(s.Seed)
 		copt := sim.CheckOptions{}
 		if !s.DeadlockFree() {
@@ -168,19 +111,19 @@ func FuzzResetEquivalence(f *testing.F) {
 		resetHist := reused.LatencyHistogram()
 
 		if resetSt != freshSt {
-			t.Fatalf("spec %q dirty=%d: reset run diverges from fresh build:\n  fresh %+v\n  reset %+v", s, dirty, freshSt, resetSt)
+			t.Fatalf("spec %q reset run diverges from fresh build:\n  fresh %+v\n  reset %+v", s, freshSt, resetSt)
 		}
 		if !resetHist.Equal(&freshHist) {
-			t.Fatalf("spec %q dirty=%d: latency histograms diverge: fresh n=%d sum=%g, reset n=%d sum=%g",
-				s, dirty, freshHist.Count(), freshHist.Sum(), resetHist.Count(), resetHist.Sum())
+			t.Fatalf("spec %q latency histograms diverge: fresh n=%d sum=%g, reset n=%d sum=%g",
+				s, freshHist.Count(), freshHist.Sum(), resetHist.Count(), resetHist.Sum())
 		}
 		fd, rd := fresh.Deliveries(), reused.Deliveries()
 		if len(fd) != len(rd) {
-			t.Fatalf("spec %q dirty=%d: delivery counts diverge: fresh %d, reset %d", s, dirty, len(fd), len(rd))
+			t.Fatalf("spec %q delivery counts diverge: fresh %d, reset %d", s, len(fd), len(rd))
 		}
 		for i := range fd {
 			if fd[i] != rd[i] {
-				t.Fatalf("spec %q dirty=%d: delivery log diverges at index %d: fresh %+v, reset %+v", s, dirty, i, fd[i], rd[i])
+				t.Fatalf("spec %q delivery log diverges at index %d: fresh %+v, reset %+v", s, i, fd[i], rd[i])
 			}
 		}
 
@@ -190,10 +133,10 @@ func FuzzResetEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		if resetSt != ref.Stats {
-			t.Fatalf("spec %q dirty=%d: reset run diverges from reference:\n  reference %+v\n  reset     %+v", s, dirty, ref.Stats, resetSt)
+			t.Fatalf("spec %q reset run diverges from reference:\n  reference %+v\n  reset     %+v", s, ref.Stats, resetSt)
 		}
 		if d := diffDeliveries(rd, ref.Deliveries); d != "" {
-			t.Fatalf("spec %q dirty=%d: %s", s, dirty, d)
+			t.Fatalf("spec %q %s", s, d)
 		}
 	})
 }

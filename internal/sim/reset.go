@@ -2,19 +2,18 @@ package sim
 
 import "waferswitch/internal/obs"
 
-// Network reuse: a Run (or RunSharded) used to be strictly single-use —
-// every sweep point paid a full Build. Reset rewinds every piece of
-// mutable simulation state to exactly what Build produces, without
-// freeing a single backing array, so a warm network evaluates the next
-// point allocation-free. The split is:
+// Network reuse: Reset rewinds every piece of mutable simulation state
+// to exactly what Build produces, without freeing a single backing
+// array, so a warm network evaluates the next point allocation-free
+// instead of paying a full Build. The split is:
 //
 //   - Immutable per topology structure: route tables (nextPorts /
 //     nextFlat), shared process-wide through the content-hash keyed
 //     route cache (see routesFor).
 //   - Immutable per network: the channel list, ring layout constants
 //     (latVals/classOff/classCnt/classHot, packed producer offsets),
-//     port wiring (feedCh/outCh, rcOfIn), terminal wiring, and the
-//     cached shard plan (see shard.go) — none of it changes across runs.
+//     port wiring (feedCh/outCh, rcOfIn) and terminal wiring — none of
+//     it changes across runs.
 //   - Resettable: everything a cycle can write — VC rings and status,
 //     port masks, credits, channel ring slab, source queues, the packet
 //     table, RNG states, counters and observer attachments. Reset
@@ -35,9 +34,8 @@ import "waferswitch/internal/obs"
 // Reset rewinds the network to the pristine just-built state, reseeded
 // with seed, reusing every backing array. All observers (probe,
 // timeline, tracer, attribution, checker, abort detector, delivery
-// recording, shard stats) are detached, as on a fresh Build — reattach
-// what the next run needs. The cached shard plan survives, so a
-// following RunSharded reuses its shard copies and outboxes.
+// recording) are detached, as on a fresh Build — reattach what the next
+// run needs.
 func (n *Network) Reset(seed int64) {
 	clear(n.slab)
 	clear(n.vcHL)
@@ -75,7 +73,7 @@ func (n *Network) Reset(seed int64) {
 	}
 	clear(n.creditM)
 	for r := 0; r < n.R; r++ {
-		for o := 0; o < n.maxP && o < 64; o++ {
+		for o := 0; o < n.maxP; o++ {
 			if n.outCredits[r*n.maxP+o] > 0 {
 				n.creditM[r] |= uint64(1) << o
 			}
@@ -100,25 +98,16 @@ func (n *Network) Reset(seed int64) {
 	n.pktRoute = n.pktRoute[:0]
 	n.pktSalt = n.pktSalt[:0]
 	n.freePkts = n.freePkts[:0]
-	n.pool = nil
-	n.bnd = nil
 
 	// Switch-allocation scratch.
 	clear(n.saWinner)
 	clear(n.saWinnerIn)
-	clear(n.saStamp)
-	n.saClock = 0
-
-	// Loop bounds back to the full network (shard copies narrow them).
-	n.rLo, n.rHi = 0, n.R
-	n.tLo, n.tHi = 0, n.T
 
 	// Clock and statistics.
 	n.now = 0
 	n.measStart, n.measEnd = 0, 0
 	n.latencySum = 0
 	clear(n.latSumR)
-	n.lastDone = 0
 	n.latHist = obs.Histogram{}
 	n.completed = 0
 	n.measuredBorn = 0
@@ -135,10 +124,8 @@ func (n *Network) Reset(seed int64) {
 	n.ab = nil
 	n.tline = nil
 	clear(n.tlChanFlits)
-	clear(n.tlLatSumR)
 	n.tr = nil
 	n.at = nil
-	n.shardStats = nil
 
 	// Random streams, reseeded in place (see initTermRng).
 	n.cfg.Seed = seed

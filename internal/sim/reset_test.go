@@ -11,6 +11,29 @@ import (
 	"waferswitch/internal/traffic"
 )
 
+func testMesh4x4(t *testing.T) *topo.Topology {
+	t.Helper()
+	chip, err := ssc.MustTH5(200).Deradix(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := topo.MeshTopo(4, 4, chip, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// smallTestConfig is a short, small-buffer run, cheap enough to repeat
+// across every routing family and load.
+func smallTestConfig() Config {
+	return Config{
+		NumVCs: 2, BufPerPort: 8, PacketFlits: 2,
+		RCIngress: 1, RCOther: 1, PipeDelay: 1, TermDelay: 1,
+		WarmupCycles: 40, MeasureCycles: 120, Seed: 17,
+	}
+}
+
 // resetFamilies returns one topology per routing family: up/down BFS on
 // the Clos, dimension-order routing on the mesh, and BFS minimal
 // routing on the flattened butterfly and dragonfly (the two families
@@ -38,16 +61,18 @@ func resetFamilies(t *testing.T) map[string]*topo.Topology {
 	}
 }
 
-// TestResetEquivalence is the build-vs-reset equivalence suite: one
-// network per routing family serves every (shards, load) combination,
-// Reset between runs, and each run must be indistinguishable — Stats,
-// latency histogram, probe snapshot JSON, and the ordered delivery
-// log — from a network freshly built for that combination. Iterating
-// shard counts outermost makes consecutive sharded runs share the
-// cached shard plan, so plan reuse across points is covered too, as are
-// the serial-after-sharded and sharded-after-serial transitions.
+// TestResetEquivalence is the build-vs-reset equivalence suite. The
+// shards dimension is the number of workers a family's load points are
+// split across. With one, a single network serves every load, Reset
+// between runs, and each run must be indistinguishable — Stats, latency
+// histogram, probe snapshot JSON, and the ordered delivery log — from a
+// network freshly built for that load. With more, a Sweep shards a
+// ladder holding every load several times across that many warm worker
+// networks, each Reset between the points it takes, and every point's
+// Stats and probe snapshot must match a fresh build seeded with the
+// point's PointSeed, whichever worker and reuse history ran it.
 func TestResetEquivalence(t *testing.T) {
-	cfg := shardTestConfig()
+	cfg := smallTestConfig()
 	loads := []float64{0.1, 0.4, 0.7}
 	for name, top := range resetFamilies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -59,61 +84,110 @@ func TestResetEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 4} {
+				var ladder []float64
+				var res *SweepResult
+				if shards > 1 {
+					for range shards {
+						ladder = append(ladder, loads...)
+					}
+					build := func() (*Network, error) { return Build(top, ConstantLatency(1), cfg) }
+					injf := SyntheticInjector(traffic.Uniform(top.ExternalPorts()), cfg.PacketFlits)
+					res, err = Sweep(build, injf, ladder, SweepOptions{Workers: shards, Probe: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
 				for _, load := range loads {
 					t.Run(fmt.Sprintf("shards=%d/load=%g", shards, load), func(t *testing.T) {
-						run := func(n *Network) (Stats, string, []Delivery) {
-							n.RecordDeliveries()
-							if err := n.AttachProbe(n.NewProbe()); err != nil {
-								t.Fatal(err)
-							}
-							var st Stats
-							if shards > 1 {
-								st, err = n.RunSharded(inj(load), load, shards)
-								if err != nil {
-									t.Fatal(err)
-								}
-							} else {
-								st = n.Run(inj(load), load)
-							}
-							snap, err := json.Marshal(n.Snapshot())
-							if err != nil {
-								t.Fatal(err)
-							}
-							return st, string(snap), n.Deliveries()
+						if shards == 1 {
+							checkResetRun(t, top, cfg, reused, inj(load), load)
+							return
 						}
-						fresh, err := Build(top, ConstantLatency(1), cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantSt, wantSnap, wantDel := run(fresh)
-						wantHist := fresh.LatencyHistogram()
-
-						reused.Reset(cfg.Seed)
-						gotSt, gotSnap, gotDel := run(reused)
-						gotHist := reused.LatencyHistogram()
-
-						if gotSt != wantSt {
-							t.Errorf("stats diverge:\n  fresh %+v\n  reset %+v", wantSt, gotSt)
-						}
-						if !gotHist.Equal(&wantHist) {
-							t.Errorf("latency histograms diverge: fresh n=%d sum=%g, reset n=%d sum=%g",
-								wantHist.Count(), wantHist.Sum(), gotHist.Count(), gotHist.Sum())
-						}
-						if gotSnap != wantSnap {
-							t.Errorf("probe snapshots diverge:\n  fresh %s\n  reset %s", wantSnap, gotSnap)
-						}
-						if len(gotDel) != len(wantDel) {
-							t.Fatalf("delivery counts diverge: fresh %d, reset %d", len(wantDel), len(gotDel))
-						}
-						for i := range wantDel {
-							if gotDel[i] != wantDel[i] {
-								t.Fatalf("delivery log diverges at index %d: fresh %+v, reset %+v", i, wantDel[i], gotDel[i])
+						for i, l := range ladder {
+							if l == load {
+								checkSweepPoint(t, top, cfg, res.Points[i], i, inj(load), load)
 							}
 						}
 					})
 				}
 			}
 		})
+	}
+}
+
+// checkResetRun resets the reused network to cfg.Seed, runs it at load,
+// and compares everything observable with a fresh build's run.
+func checkResetRun(t *testing.T, top *topo.Topology, cfg Config, reused *Network, inj Injector, load float64) {
+	t.Helper()
+	run := func(n *Network) (Stats, string, []Delivery) {
+		n.RecordDeliveries()
+		if err := n.AttachProbe(n.NewProbe()); err != nil {
+			t.Fatal(err)
+		}
+		st := n.Run(inj, load)
+		snap, err := json.Marshal(n.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, string(snap), n.Deliveries()
+	}
+	fresh, err := Build(top, ConstantLatency(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSt, wantSnap, wantDel := run(fresh)
+	wantHist := fresh.LatencyHistogram()
+
+	reused.Reset(cfg.Seed)
+	gotSt, gotSnap, gotDel := run(reused)
+	gotHist := reused.LatencyHistogram()
+
+	if gotSt != wantSt {
+		t.Errorf("stats diverge:\n  fresh %+v\n  reset %+v", wantSt, gotSt)
+	}
+	if !gotHist.Equal(&wantHist) {
+		t.Errorf("latency histograms diverge: fresh n=%d sum=%g, reset n=%d sum=%g",
+			wantHist.Count(), wantHist.Sum(), gotHist.Count(), gotHist.Sum())
+	}
+	if gotSnap != wantSnap {
+		t.Errorf("probe snapshots diverge:\n  fresh %s\n  reset %s", wantSnap, gotSnap)
+	}
+	if len(gotDel) != len(wantDel) {
+		t.Fatalf("delivery counts diverge: fresh %d, reset %d", len(wantDel), len(gotDel))
+	}
+	for i := range wantDel {
+		if gotDel[i] != wantDel[i] {
+			t.Fatalf("delivery log diverges at index %d: fresh %+v, reset %+v", i, wantDel[i], gotDel[i])
+		}
+	}
+}
+
+// checkSweepPoint compares sweep point i with a fresh build seeded with
+// the point's PointSeed and run at the same load with a probe attached.
+func checkSweepPoint(t *testing.T, top *topo.Topology, cfg Config, p SweepPoint, i int, inj Injector, load float64) {
+	t.Helper()
+	fresh, err := Build(top, ConstantLatency(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Reseed(PointSeed(cfg.Seed, i))
+	if err := fresh.AttachProbe(fresh.NewProbe()); err != nil {
+		t.Fatal(err)
+	}
+	wantSt := fresh.Run(inj, load)
+	wantSnap, err := json.Marshal(fresh.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSnap, err := json.Marshal(p.Probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats != wantSt {
+		t.Errorf("point %d stats diverge:\n  fresh %+v\n  sweep %+v", i, wantSt, p.Stats)
+	}
+	if string(gotSnap) != string(wantSnap) {
+		t.Errorf("point %d probe snapshots diverge:\n  fresh %s\n  sweep %s", i, wantSnap, gotSnap)
 	}
 }
 
@@ -125,7 +199,7 @@ func TestResetEquivalence(t *testing.T) {
 // different topology must not.
 func TestRouteCacheShared(t *testing.T) {
 	top := testClos(t)
-	cfg := shardTestConfig()
+	cfg := smallTestConfig()
 	n1, err := Build(top, ConstantLatency(1), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +243,7 @@ func TestRouteCacheShared(t *testing.T) {
 // sweep that constructs its worker network.
 func TestSweepReuseAllocs(t *testing.T) {
 	top := testClos(t)
-	cfg := shardTestConfig()
+	cfg := smallTestConfig()
 	build := func() (*Network, error) { return Build(top, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(top.ExternalPorts()), cfg.PacketFlits)
 	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}

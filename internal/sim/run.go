@@ -76,8 +76,8 @@ func (ti *TraceInjector) Generate(term int, now int64, _ *rand.Rand) (int, int, 
 // the run is already classified unstable.
 const maxPendingPerTerm = 4096
 
-// Run simulates warmup + measurement, then drains measured packets. A
-// Network can only be run once; build a fresh one per run.
+// Run simulates warmup + measurement, then drains measured packets. To
+// run the same network again, call Reset first.
 func (n *Network) Run(inj Injector, offered float64) Stats {
 	cfg := n.cfg
 	n.measStart = int64(cfg.WarmupCycles)
@@ -171,10 +171,9 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 	}
 	if n.completed > 0 {
 		// Canonical latency sum: the ascending-router fold of latSumR,
-		// not the completion-order running sum — the fold's float
-		// addition order is the same no matter how the cycle loop was
-		// partitioned, so serial and sharded runs (and the reference
-		// simulator) agree bitwise.
+		// not the completion-order running sum — the fold fixes the
+		// float addition order independently of completion order, so
+		// this simulator and the reference simulator agree bitwise.
 		sum := n.foldLatSum()
 		n.latencySum = sum
 		n.latHist.SetSum(sum)
@@ -206,8 +205,8 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 }
 
 // foldLatSum folds the per-router latency sums in ascending router
-// order — the canonical float-addition order shared by the serial run,
-// every shard-count variant, and the reference simulator.
+// order — the canonical float-addition order shared with the reference
+// simulator.
 func (n *Network) foldLatSum() float64 {
 	var sum float64
 	for r := 0; r < n.R; r++ {
@@ -262,7 +261,7 @@ func (n *Network) step(inj Injector) {
 // routerOcc is exactly the per-port sum the dense loop used to compute.
 func (n *Network) recordOccupancy() {
 	n.probe.Cycles++
-	for r := n.rLo; r < n.rHi; r++ {
+	for r := 0; r < n.R; r++ {
 		occ := int64(n.routerOcc[r])
 		rc := &n.probe.Routers[r]
 		rc.OccSum += occ
@@ -293,8 +292,8 @@ func (n *Network) pushVC(gv int32, f flit) int32 {
 // markBusy flags VC gv as newly non-empty in its port's masks: the VC
 // turns busy, and — unless it is mid-packet (vcActive, receiving body
 // flits) — it owes pipeline work, flagged in both the port's VC mask
-// and router r's port summary mask (a shift by port p >= 64 is zero in
-// Go, so wide routers — which scan every port — are left alone).
+// and router r's port summary mask (Build caps routers at 64 ports, so
+// every port has a bit).
 func (n *Network) markBusy(in, gv, r, p int32) {
 	bit := uint64(1) << (gv - in*int32(n.V))
 	ps := &n.inState[in]
@@ -368,7 +367,7 @@ func (n *Network) arrivals() {
 // cross-router effects (flits and credits on channel rings) are not
 // consumed until a later cycle's arrivals.
 func (n *Network) routers() {
-	for r := n.rLo; r < n.rHi; r++ {
+	for r := 0; r < n.R; r++ {
 		if n.routerOcc[r] == 0 {
 			continue // nothing buffered, nothing to route, allocate or forward
 		}
@@ -386,10 +385,6 @@ func (n *Network) routers() {
 func (n *Network) routerRCVA(r int) {
 	V := int32(n.V)
 	base := int32(r) * int32(n.maxP)
-	if int(n.numPorts[r]) > 64 {
-		n.routerRCVAWide(r)
-		return
-	}
 	// Local headers for the same re-load reason as routerSA.
 	vcStatus := n.vcStatus
 	vcRCLeft := n.vcRCLeft
@@ -481,87 +476,6 @@ func (n *Network) routerRCVA(r int) {
 	}
 }
 
-// routerRCVAWide is routerRCVA for routers with more than 64 ports,
-// where the port summary does not fit a register mask: every port's VC
-// pipe mask is loaded and tested, with identical decisions in identical
-// order.
-func (n *Network) routerRCVAWide(r int) {
-	V := int32(n.V)
-	base := int32(r) * int32(n.maxP)
-	nP := int32(n.numPorts[r])
-	vcStatus := n.vcStatus
-	vcRCLeft := n.vcRCLeft
-	vcOutPort := n.vcOutPort
-	outFreeVC := n.outFreeVC
-	for p := int32(0); p < nP; p++ {
-		in := base + p
-		m := n.inState[in].pipe
-		if m == 0 {
-			continue
-		}
-		vbase := in * V
-		for ; m != 0; m &= m - 1 {
-			v := int32(bits.TrailingZeros64(m))
-			gv := vbase + v
-			st := vcStatus[gv]
-			if st == vcIdle {
-				st = vcRouting
-				vcRCLeft[gv] = n.rcOfIn[in]
-				if n.at != nil {
-					n.atRCStart(n.frontVC(gv).pkt, r)
-				}
-			}
-			if st == vcRouting {
-				left := vcRCLeft[gv] - 1
-				vcRCLeft[gv] = left
-				if left <= 0 {
-					n.computeRoute(r, gv)
-					st = vcVCAlloc
-					if n.at != nil {
-						n.atRCDone(n.frontVC(gv).pkt, r)
-					}
-					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
-							Router: int32(r), Kind: obs.TraceRC, Arg: vcOutPort[gv]})
-					}
-				}
-			}
-			if st == vcVCAlloc {
-				out := base + vcOutPort[gv]
-				if free := outFreeVC[out]; free != 0 {
-					var ov int32
-					if hi := free >> uint(n.outRRVA[out]); hi != 0 {
-						ov = n.outRRVA[out] + int32(bits.TrailingZeros64(hi))
-					} else {
-						ov = int32(bits.TrailingZeros64(free))
-					}
-					outFreeVC[out] = free &^ (uint64(1) << ov)
-					if rr := ov + 1; rr == V {
-						n.outRRVA[out] = 0
-					} else {
-						n.outRRVA[out] = rr
-					}
-					n.vcOutVC[gv] = ov
-					st = vcActive
-					n.inState[in].pipe &^= uint64(1) << v
-					if n.at != nil {
-						n.atVADone(n.frontVC(gv).pkt, r)
-						n.vcAttribHead[gv] = true
-					}
-					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
-							Router: int32(r), Kind: obs.TraceVA, Arg: ov})
-						n.vcTraceHead[gv] = true
-					}
-				} else if n.probe != nil {
-					n.probe.Routers[r].VAStalls++
-				}
-			}
-			vcStatus[gv] = st
-		}
-	}
-}
-
 // computeRoute fills the VC's output port for its head packet: the egress
 // terminal port on the destination router, or a shortest-path candidate
 // chosen by packet id (balancing packets across parallel lanes and
@@ -584,22 +498,17 @@ func (n *Network) computeRoute(r int, gv int32) {
 }
 
 // routerSA performs separable switch allocation for router r and
-// forwards the winning flits. Routers with at most 64 ports (all
-// practical radixes after deradixing) track output availability in two
-// registers: openM holds the outputs still grantable this cycle
-// (credits available, not yet granted), grantM the outputs granted.
-// Snapshotting credits into openM up front is exact — the grant phase
-// never mutates outCredits (forwards run after it) — and forwarding
-// grantM's set bits in ascending order reproduces the stamp-scan order
-// bit for bit.
+// forwards the winning flits. Routers have at most 64 ports (Build
+// enforces it), so output availability lives in two registers: openM
+// holds the outputs still grantable this cycle (credits available, not
+// yet granted), grantM the outputs granted. Snapshotting credits into
+// openM up front is exact — the grant phase never mutates outCredits
+// (forwards run after it) — and winners are forwarded in ascending
+// output order.
 func (n *Network) routerSA(r int) {
 	V := n.V
 	base := r * n.maxP
 	nP := int(n.numPorts[r])
-	if nP > 64 {
-		n.routerSAWide(r)
-		return
-	}
 	// Local slice headers and instrumentation flags: the candidate loop
 	// is the simulator's hottest code, and stores through slice elements
 	// force re-loading n's fields every iteration unless they live in
@@ -648,8 +557,7 @@ func (n *Network) routerSA(r int) {
 			if openM>>out&1 == 0 {
 				// Blocked: by an earlier grant (grantM set, an output
 				// that was grantable cannot have been credit-less) or
-				// by exhausted credits, mirroring the stamp-then-
-				// credit test order of the wide path.
+				// by exhausted credits.
 				if slow {
 					if grantM>>out&1 != 0 {
 						if n.probe != nil {
@@ -681,78 +589,6 @@ func (n *Network) routerSA(r int) {
 	for ; grantM != 0; grantM &= grantM - 1 {
 		out := bits.TrailingZeros64(grantM)
 		n.forward(r, out, int(winner[out]), int(winnerIn[out]))
-	}
-}
-
-// routerSAWide is routerSA for routers with more than 64 ports, where
-// the output masks do not fit a register: per-output grant stamps
-// replace openM/grantM, with identical grant decisions and forwarding
-// order.
-func (n *Network) routerSAWide(r int) {
-	V := n.V
-	base := r * n.maxP
-	nP := int(n.numPorts[r])
-	n.saClock++
-	start := int(n.npRot[n.npIdx[r]])
-	granted := 0
-	for i := 0; i < nP; i++ {
-		p := start + i
-		if p >= nP {
-			p -= nP
-		}
-		in := base + p
-		ps := &n.inState[in]
-		ready := ps.busy &^ ps.pipe
-		if ready == 0 {
-			continue
-		}
-		rr := ps.rr
-		hi := ready &^ (uint64(1)<<rr - 1)
-		lo := ready ^ hi
-		for k := 0; k < 2; k++ {
-			m := hi
-			if k == 1 {
-				m = lo
-			}
-			for ; m != 0; m &= m - 1 {
-				v := int32(bits.TrailingZeros64(m))
-				gv := int32(in*V) + v
-				out := int(n.vcOutPort[gv])
-				if n.saStamp[out] == n.saClock {
-					if n.probe != nil {
-						n.probe.Routers[r].SAStalls++
-					}
-					continue // output already granted this cycle
-				}
-				if n.outCredits[base+out] <= 0 {
-					if n.probe != nil {
-						n.probe.Routers[r].CreditStalls++
-					}
-					if n.at != nil {
-						n.atCreditStall(gv, r, base+out)
-					}
-					continue
-				}
-				n.saStamp[out] = n.saClock
-				n.saWinner[out] = gv
-				n.saWinnerIn[out] = int32(in)
-				if rr := v + 1; int(rr) == V {
-					ps.rr = 0
-				} else {
-					ps.rr = rr
-				}
-				granted++
-				k = 2 // one grant per input port per cycle
-				break
-			}
-		}
-	}
-	for out := 0; granted > 0; out++ {
-		if n.saStamp[out] != n.saClock {
-			continue
-		}
-		granted--
-		n.forward(r, out, int(n.saWinner[out]), int(n.saWinnerIn[out]))
 	}
 }
 
@@ -789,11 +625,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		// same channel this cycle (the slot itself was drained by this
 		// cycle's arrivals, so only this cycle's producers are present).
 		n.ringSlab[n.classSlotBase[lp&0x7fffffff]+int32(lp>>31)] |= evCred
-	} else if lp < -1 {
-		// The feeding channel crosses a shard cut: the credit belongs to
-		// the source shard's credit ring — buffer it for the next epoch
-		// barrier (see shard.go; lp encodes the boundary-ref index).
-		n.bndPush(lp, evCred)
 	}
 	if n.probe != nil {
 		n.probe.Routers[r].Flits++
@@ -816,26 +647,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 			n.probe.Channels[n.outCh[o]].Flits++
 		}
 		if n.tline != nil {
-			n.tlChanFlits[n.outCh[o]]++
-		}
-	} else if lp < -1 {
-		// The outgoing channel crosses a shard cut: buffer the packed
-		// flit event for the destination shard's ring. Credit accounting
-		// stays local — the upstream end of the channel (and so the
-		// credit state) is owned by this shard.
-		n.bndPush(lp, packEv(f.pkt, f.last, n.vcOutVC[gv]))
-		c := n.outCredits[o] - 1
-		n.outCredits[o] = c
-		if c == 0 {
-			n.creditM[r] &^= uint64(1) << uint32(out)
-		}
-		if n.probe != nil {
-			n.probe.Channels[n.outCh[o]].Flits++
-		}
-		if n.tline != nil {
-			// The source shard owns the boundary channel's utilization
-			// counter: it is the unique writer, so the shared per-channel
-			// array stays race-free.
 			n.tlChanFlits[n.outCh[o]]++
 		}
 	} else {
@@ -894,14 +705,12 @@ func (n *Network) completePacket(pkt int32, r int) {
 		n.latSumR[r] += lat
 		n.latHist.Observe(lat)
 		n.completed++
-		n.lastDone = n.now
 	}
 	if n.tline != nil {
 		// The timeline is time-domain instrumentation: every retired
 		// packet counts, measured or not, so warmup and drain windows
 		// show real latencies too.
 		n.tline.NoteRetire(lat)
-		n.tlLatSumR[r] += lat
 	}
 	if n.chk != nil {
 		n.chk.noteComplete(pkt, pi, n.now)
@@ -913,16 +722,13 @@ func (n *Network) completePacket(pkt int32, r int) {
 		})
 	}
 	n.freePkts = append(n.freePkts, pkt)
-	if n.pool != nil && len(n.freePkts) > poolSpillAt {
-		n.freePkts = n.pool.spill(n.freePkts)
-	}
 }
 
 // inject generates new packets and pushes source flits into the terminal
 // channels, one flit per terminal per cycle, credit permitting.
 func (n *Network) inject(inj Injector) {
 	srcQ := n.srcQ
-	for t := n.tLo; t < n.tHi; t++ {
+	for t := 0; t < n.T; t++ {
 		q := srcQ[t]
 		head := n.srcQHead[t]
 		// Compact the source queue before it would reallocate: a backlog
@@ -1000,12 +806,6 @@ func (n *Network) inject(inj Injector) {
 // allocPacket creates a packet-table entry for the packet about to be
 // injected by terminal t.
 func (n *Network) allocPacket(t int, pp *pendingPkt) int32 {
-	if len(n.freePkts) == 0 && n.pool != nil {
-		// Sharded run: the packet table is preallocated and shared, ids
-		// come from the pool in batches (see shard.go). The salt makes
-		// which id a packet lands on unobservable, so any id works.
-		n.freePkts = n.pool.refill(n.freePkts)
-	}
 	var pkt int32
 	if l := len(n.freePkts); l > 0 {
 		pkt = n.freePkts[l-1]

@@ -285,6 +285,20 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsWideRouters: port sets are 64-bit masks, so Build
+// must refuse a router with more than 64 ports instead of silently
+// dropping the high ports from allocation. A 4x4 flattened butterfly of
+// full radix-256 chips has 256-port routers.
+func TestBuildRejectsWideRouters(t *testing.T) {
+	fb, err := topo.FlattenedButterfly(4, 4, ssc.MustTH5(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(fb, ConstantLatency(1), testConfig()); err == nil {
+		t.Fatal("Build accepted a radix-256 router")
+	}
+}
+
 func TestSyntheticInjectorLoadValidation(t *testing.T) {
 	injf := SyntheticInjector(traffic.Uniform(8), 4)
 	if _, err := injf(0); err == nil {
