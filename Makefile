@@ -27,8 +27,13 @@ test: build
 # themselves cannot rot uncompiled or crash unnoticed between re-pins.
 check: vet fmt staticcheck race fuzz-smoke cover bench-smoke
 
+# perfbench is a separate module (it pins the repo through a replace
+# directive), so `go vet ./...` at the root never compiles it; vetting it
+# here keeps a simulator API change from silently breaking the benchmark
+# harness.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # staticcheck runs when the tool is on PATH and is skipped (with a
 # notice) when it is not — the check gate must work in hermetic

@@ -44,8 +44,10 @@
 //	wsswitch -adaptive <id>    adaptive sweep engine: early-abort the
 //	                           drain budget of saturated points and find
 //	                           saturation knees by bisection instead of
-//	                           walking the whole load grid (same
-//	                           saturation numbers, fraction of the time)
+//	                           walking the whole load grid (same offered,
+//	                           accepted and saturation throughput; a
+//	                           point that would drain late can be
+//	                           aborted, moving the knee)
 package main
 
 import (
@@ -107,7 +109,7 @@ func run() int {
 	replay := flag.String("replay", "", "re-run a differential-test `spec` (as printed by a failing equivalence test or fuzz run) through both simulators and report")
 	httpAddr := flag.String("http", "", "serve live introspection on `addr` (/metrics, /timeline, /debug/pprof, /debug/vars) while experiments run")
 	timeline := flag.Int("timeline", 0, "attach time-resolved samplers to simulator sweeps, one window per `cycles` (implied 200 by -http)")
-	adaptive := flag.Bool("adaptive", false, "adaptive sweep engine: abort saturated points' drain budget early and locate saturation knees by bisection (same saturation results, fraction of the wall-clock)")
+	adaptive := flag.Bool("adaptive", false, "adaptive sweep engine: abort saturated points' drain budget early and locate saturation knees by bisection (same saturation throughput; a point that would drain late in its budget can be aborted, moving the knee)")
 	attribution := flag.Bool("attribution", false, "attach congestion attribution to simulator sweeps (implied by -http): per-stage latency decomposition, blame heatmap, backpressure root-cause reports")
 	trace := flag.String("trace", "", "with -replay: write the run's packet-lifecycle events as Chrome trace-event JSON to `file` (view in Perfetto)")
 	flag.Usage = usage
@@ -124,8 +126,11 @@ func run() int {
 		usage()
 		return 2
 	}
-	opts := expt.Options{Quick: *quick, Seed: *seed, Probe: *jsonOut, Workers: *workers,
-		TimelineInterval: *timeline, Adaptive: *adaptive, Attribution: *attribution}
+	opts := expt.Options{Quick: *quick, Seed: *seed, SweepOptions: sim.SweepOptions{Probe: *jsonOut,
+		Workers: *workers, TimelineInterval: *timeline, Attribution: *attribution}}
+	if *adaptive {
+		opts.Abort = &sim.AbortOptions{}
+	}
 	if *verbose {
 		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
 			Level: slog.LevelDebug,

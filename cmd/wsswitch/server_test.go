@@ -17,6 +17,7 @@ import (
 
 	"waferswitch/internal/expt"
 	"waferswitch/internal/obs"
+	"waferswitch/internal/sim"
 	"waferswitch/internal/sim/refsim"
 )
 
@@ -59,7 +60,7 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 	}
 
 	// Baseline: the experiment without any introspection attached.
-	plain, err := expt.Run("fig21", expt.Options{Quick: true, Seed: 3, Workers: 2})
+	plain, err := expt.Run("fig21", expt.Options{Quick: true, Seed: 3, SweepOptions: sim.SweepOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,9 @@ func TestServerEndpointsDuringRun(t *testing.T) {
 			get(t, srv, "/heatmap")
 		}
 	}()
-	served, err := expt.Run("fig21", expt.Options{Quick: true, Seed: 3, Workers: 2,
+	served, err := expt.Run("fig21", expt.Options{Quick: true, Seed: 3, SweepOptions: sim.SweepOptions{Workers: 2,
 		Progress: prog, Live: live, TimelineInterval: 100,
-		Attribution: true, LiveAttrib: attr})
+		Attribution: true, LiveAttrib: attr}})
 	close(done)
 	wg.Wait()
 	if err != nil {

@@ -2,7 +2,11 @@ package expt
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
+
+	"waferswitch/internal/obs"
+	"waferswitch/internal/sim"
 )
 
 // TestFig21AdaptiveDeterministic pins that adaptive mode keeps the
@@ -11,7 +15,7 @@ import (
 // sequential, so the whole table — rows, notes and the attached search
 // results — is byte-identical for any worker count.
 func TestFig21AdaptiveDeterministic(t *testing.T) {
-	serial, err := Run("fig21", Options{Quick: true, Seed: 1, Adaptive: true, Workers: 1})
+	serial, err := Run("fig21", Options{Quick: true, Seed: 1, SweepOptions: sim.SweepOptions{Abort: &sim.AbortOptions{}, Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +24,7 @@ func TestFig21AdaptiveDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 0} {
-		par, err := Run("fig21", Options{Quick: true, Seed: 1, Adaptive: true, Workers: workers})
+		par, err := Run("fig21", Options{Quick: true, Seed: 1, SweepOptions: sim.SweepOptions{Abort: &sim.AbortOptions{}, Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +46,7 @@ func TestFig21AdaptiveShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Run("fig21", Options{Quick: true, Seed: 1, Adaptive: true})
+	adaptive, err := Run("fig21", Options{Quick: true, Seed: 1, SweepOptions: sim.SweepOptions{Abort: &sim.AbortOptions{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +71,7 @@ func TestFig21AdaptiveShape(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSweepSummariesMatch pins that turning on Adaptive for a
+// TestAdaptiveSweepSummariesMatch pins that turning on Abort for a
 // sweep-based experiment (fig22 uses plain load sweeps, not bisection)
 // leaves the saturation summary identical: the early-abort engine only
 // cuts drain budgets, never the measurement the summary is built from.
@@ -79,7 +83,7 @@ func TestAdaptiveSweepSummariesMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := Run("fig22", Options{Quick: true, Seed: 1, Adaptive: true})
+	ad, err := Run("fig22", Options{Quick: true, Seed: 1, SweepOptions: sim.SweepOptions{Abort: &sim.AbortOptions{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +98,56 @@ func TestAdaptiveSweepSummariesMatch(t *testing.T) {
 		}
 		if string(d) != string(a) {
 			t.Errorf("%s diverged under -adaptive:\ndefault  %s\nadaptive %s", key, d, a)
+		}
+	}
+}
+
+// TestFig21AdaptiveObservers pins that the bisection path carries the
+// same observers as the exhaustive grid: with Abort set, every search
+// evaluation registers its timeline under the cell's live name, feeds
+// the live attribution, and each cell attaches its merged attribution.
+func TestFig21AdaptiveObservers(t *testing.T) {
+	live := &obs.LiveTimelines{}
+	attr := &obs.LiveAttribution{}
+	tab, err := Run("fig21", Options{Quick: true, Seed: 1, SweepOptions: sim.SweepOptions{
+		Abort: &sim.AbortOptions{}, TimelineInterval: 100, Live: live,
+		Attribution: true, LiveAttrib: attr,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := live.Names()
+	if len(names) == 0 {
+		t.Fatal("adaptive fig21 registered no live timelines")
+	}
+	for _, n := range names {
+		if !strings.HasPrefix(n, "fig21/buf=") || !strings.Contains(n, "/load=") {
+			t.Errorf("live series %q is not a per-point fig21 name", n)
+		}
+	}
+	if s := attr.Snapshot(8); s == nil || s.Packets == 0 {
+		t.Errorf("live attribution empty after adaptive fig21: %+v", s)
+	}
+	cells, ok := tab.Attachments["attribution_cells"]
+	if !ok {
+		t.Fatal("adaptive fig21 with Attribution attaches no attribution_cells")
+	}
+	raw, err := json.Marshal(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded []struct {
+		Attribution *obs.AttributionSnapshot `json:"attribution"`
+	}
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded) != len(tab.Rows)*(len(tab.Headers)-1) {
+		t.Errorf("%d attribution cells for a %dx%d grid", len(decoded), len(tab.Rows), len(tab.Headers)-1)
+	}
+	for i, c := range decoded {
+		if c.Attribution == nil || c.Attribution.Packets == 0 {
+			t.Errorf("cell %d has no attribution", i)
 		}
 	}
 }

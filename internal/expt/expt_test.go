@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"waferswitch/internal/sim"
 )
 
 // TestAllExperimentsRun executes every registered experiment in Quick
@@ -153,7 +155,7 @@ func TestFig22ProbeAttachments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment in short mode")
 	}
-	tab, err := Run("fig22", Options{Quick: true, Seed: 1, Probe: true})
+	tab, err := Run("fig22", Options{Quick: true, Seed: 1, SweepOptions: sim.SweepOptions{Probe: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func smallSweep(t *testing.T, workers int) *sim.SweepResult {
 		RCIngress: 2, RCOther: 1, PipeDelay: 3, TermDelay: 8,
 		WarmupCycles: 200, MeasureCycles: 400, Seed: 11,
 	}
-	o := Options{Probe: true, Workers: workers}
+	o := Options{SweepOptions: sim.SweepOptions{Probe: true, Workers: workers}}
 	res, err := runSweep(o, "test/small",
 		func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(1), cfg) },
 		sim.SyntheticInjector(traffic.Uniform(128), 4),
@@ -109,11 +109,11 @@ func TestParallelSweepDeterministic(t *testing.T) {
 // mapping optimizer across pool goroutines under -race).
 func TestParallelExperimentDeterministic(t *testing.T) {
 	for _, id := range []string{"fig7", "fig21"} {
-		serial, err := Run(id, Options{Quick: true, Seed: 5, Workers: 1})
+		serial, err := Run(id, Options{Quick: true, Seed: 5, SweepOptions: sim.SweepOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Run(id, Options{Quick: true, Seed: 5, Workers: 4})
+		par, err := Run(id, Options{Quick: true, Seed: 5, SweepOptions: sim.SweepOptions{Workers: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}

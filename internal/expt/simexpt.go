@@ -103,22 +103,13 @@ func sweepAttach(t *Table, o Options, series string, res *sim.SweepResult) {
 	}
 }
 
-// runSweep executes one load sweep through the parallel sweep engine,
-// fanning load points across o.Workers goroutines, with probes when
-// o.Probe is set, timelines when o.TimelineInterval is set, and live
-// progress/series registration when o.Progress/o.Live are wired to an
-// introspection server. name keys the live timeline entries (points
-// append "/load=<load>").
+// runSweep executes one load sweep through the sweep engine with the
+// experiment's sweep options; name keys the live timeline and
+// backpressure entries (points append "/load=<load>").
 func runSweep(o Options, name string, build sim.Builder, injf sim.InjectorFactory, loads []float64) (*sim.SweepResult, error) {
-	return sim.Sweep(build, injf, loads, sim.SweepOptions{
-		Workers: o.Workers, Probe: o.Probe, Ctx: o.context(),
-		TimelineInterval: o.TimelineInterval,
-		Live:             o.Live, LiveName: name,
-		Progress:    o.Progress,
-		Abort:       o.abort(),
-		Attribution: o.Attribution,
-		LiveAttrib:  o.LiveAttrib,
-	})
+	so := o.SweepOptions
+	so.LiveName = name
+	return sim.Sweep(build, injf, loads, so)
 }
 
 // fig21 reproduces the buffer-sizing study: saturation throughput vs
@@ -154,93 +145,82 @@ func fig21(o Options) (*Table, error) {
 	// The buffers x latencies grid is embarrassingly parallel: fan cells
 	// across the pool into index slots, then emit rows serially. Each cell
 	// runs its inner load sweep serially (Workers: 1) — the grid is the
-	// parallel axis — but still threads timeline/live options through, so
+	// parallel axis — but still threads the observer options through, so
 	// a -http server can watch a cell's sweep saturate in real time. The
 	// pool already announces the cells to Progress, so the inner sweeps do
-	// not report (that would double-count).
+	// not report (that would double-count), and the table attaches no
+	// per-point probes, so the cells run unprobed.
+	//
+	// With Abort set (wsswitch -adaptive) each cell replaces its
+	// exhaustive load grid with a bisection saturation search:
+	// O(log(1/tol)) points with the drain budget of saturated probes
+	// aborted early, reaching the same saturation plateau in a fraction
+	// of the grid's wall-clock.
+	type cellSearch struct {
+		Buffer  int                   `json:"buffer"`
+		LinkLat int                   `json:"link_latency"`
+		Search  *sim.SaturationResult `json:"search"`
+	}
+	// With attribution on, each grid cell keeps its merged stage
+	// breakdown and heatmap plus the post-mortems of its saturated
+	// points — the knee of every buffer/latency combination explains
+	// itself (see EXPERIMENTS.md "Reading a fig21 heatmap").
+	type cellAttrib struct {
+		Buffer       int                       `json:"buffer"`
+		LinkLat      int                       `json:"link_latency"`
+		Attribution  *obs.AttributionSnapshot  `json:"attribution"`
+		PostMortems  []string                  `json:"post_mortems,omitempty"`
+		Backpressure []*obs.BackpressureReport `json:"backpressure,omitempty"`
+	}
 	sats := make([]float64, len(buffers)*len(lats))
-	if o.Adaptive {
-		// Adaptive mode replaces each cell's exhaustive load grid with a
-		// bisection saturation search: O(log(1/tol)) points with the drain
-		// budget of saturated probes aborted early, reaching the same
-		// saturation plateau in a fraction of the grid's wall-clock.
-		type cellSearch struct {
-			Buffer  int                   `json:"buffer"`
-			LinkLat int                   `json:"link_latency"`
-			Search  *sim.SaturationResult `json:"search"`
-		}
-		searches := make([]cellSearch, len(sats))
-		err = o.pool().Each("fig21", len(sats), func(idx int) error {
-			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
-			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
-			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
-			res, err := sim.FindSaturation(build, sim.SyntheticInjector(traffic.Uniform(ports), 4),
-				sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05, Abort: o.abort()})
+	searches := make([]cellSearch, len(sats))
+	cells := make([]cellAttrib, len(sats))
+	err = o.pool().Each("fig21", len(sats), func(idx int) error {
+		buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
+		cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
+		build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
+		injf := sim.SyntheticInjector(traffic.Uniform(ports), 4)
+		so := o.SweepOptions
+		so.Workers, so.Probe, so.Progress = 1, false, nil
+		so.LiveName = fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat)
+		var res *sim.SweepResult
+		if o.Abort == nil {
+			r, err := sim.Sweep(build, injf, loads, so)
 			if err != nil {
 				return err
 			}
-			sats[idx] = res.SaturationThroughput
-			searches[idx] = cellSearch{Buffer: buf, LinkLat: lat, Search: res}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			res = r
+		} else {
+			search, err := sim.FindSaturation(build, injf, sim.SaturationSearchOptions{Hi: loads[len(loads)-1], Tol: 0.05}, so)
+			if err != nil {
+				return err
+			}
+			searches[idx] = cellSearch{Buffer: buf, LinkLat: lat, Search: search}
+			res = &search.SweepResult
 		}
+		sats[idx] = sim.SaturationThroughput(res.Stats())
+		cell := cellAttrib{Buffer: buf, LinkLat: lat, Attribution: res.Attribution}
+		for _, p := range res.Points {
+			if p.PostMortem != "" {
+				cell.PostMortems = append(cell.PostMortems, p.PostMortem)
+			}
+			if p.Backpressure != nil {
+				cell.Backpressure = append(cell.Backpressure, p.Backpressure)
+			}
+		}
+		cells[idx] = cell
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if o.Abort != nil {
 		t.Attach("adaptive_search", searches)
 		t.Notes = append(t.Notes,
 			"adaptive mode: saturation located by bisection with early-abort drains instead of the exhaustive load grid")
-	} else {
-		// With attribution on, each grid cell keeps its merged stage
-		// breakdown and heatmap plus the post-mortems of its saturated
-		// points — the knee of every buffer/latency combination explains
-		// itself (see EXPERIMENTS.md "Reading a fig21 heatmap").
-		type cellAttrib struct {
-			Buffer       int                       `json:"buffer"`
-			LinkLat      int                       `json:"link_latency"`
-			Attribution  *obs.AttributionSnapshot  `json:"attribution"`
-			PostMortems  []string                  `json:"post_mortems,omitempty"`
-			Backpressure []*obs.BackpressureReport `json:"backpressure,omitempty"`
-		}
-		var cells []cellAttrib
-		if o.Attribution {
-			cells = make([]cellAttrib, len(sats))
-		}
-		err = o.pool().Each("fig21", len(sats), func(idx int) error {
-			buf, lat := buffers[idx/len(lats)], lats[idx%len(lats)]
-			cfg := o.waferscaleConfig(warm, measure, 8, buf, 4)
-			build := func() (*sim.Network, error) { return sim.Build(cl, sim.ConstantLatency(lat), cfg) }
-			res, err := sim.Sweep(build, sim.SyntheticInjector(traffic.Uniform(ports), 4), loads, sim.SweepOptions{
-				Workers: 1, Ctx: o.context(),
-				TimelineInterval: o.TimelineInterval,
-				Live:             o.Live,
-				LiveName:         fmt.Sprintf("fig21/buf=%d/lat=%d", buf, lat),
-				Attribution:      o.Attribution,
-				LiveAttrib:       o.LiveAttrib,
-			})
-			if err != nil {
-				return err
-			}
-			sats[idx] = sim.SaturationThroughput(res.Stats())
-			if o.Attribution {
-				cell := cellAttrib{Buffer: buf, LinkLat: lat, Attribution: res.Attribution}
-				for _, p := range res.Points {
-					if p.PostMortem != "" {
-						cell.PostMortems = append(cell.PostMortems, p.PostMortem)
-					}
-					if p.Backpressure != nil {
-						cell.Backpressure = append(cell.Backpressure, p.Backpressure)
-					}
-				}
-				cells[idx] = cell
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if o.Attribution {
-			t.Attach("attribution_cells", cells)
-		}
+	}
+	if o.Attribution {
+		t.Attach("attribution_cells", cells)
 	}
 	for bi, buf := range buffers {
 		row := []interface{}{buf}

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"waferswitch/internal/obs"
 	"waferswitch/internal/sim"
 )
 
@@ -115,77 +114,24 @@ type Options struct {
 	// Logger, when non-nil, receives structured progress events from the
 	// experiments and the simulator runs under them (wsswitch -v).
 	Logger *slog.Logger
-	// Probe attaches per-router/per-channel collectors to simulator
-	// experiments and attaches their snapshots to the result tables
-	// (wsswitch -json). Costs a few percent of simulation throughput.
-	Probe bool
-	// Workers bounds the goroutines experiments fan their independent
-	// simulation points across (load sweeps via sim.Sweep, grids and
-	// fabric comparisons via Pool): 0 means one per CPU (GOMAXPROCS),
-	// 1 runs everything serially. Results are bit-identical for every
-	// value — each point derives its own seed and reductions happen in
-	// point order after the barrier.
-	Workers int
-
-	// Progress, when non-nil, receives point totals up front and a tick
-	// per completed point from the pool and the sweep engine, plus each
-	// pool worker's current assignment — the feed behind the live
-	// introspection server's /metrics and expvar output. Reporting is
-	// off the simulator's cycle path, so results are unchanged.
-	Progress *obs.Progress
-	// Live, when non-nil, registers per-point timeline samplers (named
-	// "<series>/load=<load>") for the /timeline handler to stream while
-	// points are still running. Requires TimelineInterval > 0.
-	Live *obs.LiveTimelines
-	// TimelineInterval, when positive, attaches a time-resolved sampler
-	// (window length in cycles) to every simulator sweep point; the
-	// merged series attaches to result tables as "<series>_timeline".
-	TimelineInterval int
-
-	// Attribution attaches congestion-attribution collectors to every
-	// simulator sweep point (wsswitch -attribution, implied by -http):
-	// the per-stage latency decomposition and per-router blame heatmap
-	// attach to result tables as "<series>_attribution", and saturated
-	// points add their post-mortem to the table notes.
-	Attribution bool
-	// LiveAttrib, when non-nil (and Attribution set), receives each
-	// completed point's attribution and each saturated point's
-	// backpressure report — the feed behind the introspection server's
-	// /attribution and /heatmap endpoints.
-	LiveAttrib *obs.LiveAttribution
-
-	// Adaptive switches simulator experiments to the adaptive sweep
-	// engine (wsswitch -adaptive): saturated sweep points abort their
-	// drain budget early once divergence is certain, and saturation-grid
-	// experiments locate the knee by bisection (sim.FindSaturation)
-	// instead of walking the whole load grid. Offered/Accepted and the
-	// saturation summary stay those of a full run; only wall-clock and
-	// the latency reported for non-drained points change.
-	Adaptive bool
-
-	// ctx carries the experiment's pprof label context, set by Run, so
-	// worker goroutines add their worker/point labels to the experiment
-	// label instead of replacing it.
-	ctx context.Context
+	// SweepOptions runs every simulator sweep point (sim.Sweep and,
+	// with Abort set, sim.FindSaturation) and reaches the harness too:
+	//   - Workers also bounds the Pool that grids and fabric comparisons
+	//     fan across; Progress also receives the Pool's point totals and
+	//     each worker's current assignment.
+	//   - Probe (wsswitch -json) attaches "<series>_probes" and
+	//     "<series>_aggregate" to result tables, TimelineInterval
+	//     "<series>_timeline", Attribution "<series>_attribution" plus
+	//     the post-mortems of saturated points as table notes.
+	//   - Abort (wsswitch -adaptive) also switches saturation-grid
+	//     experiments (fig21) from the exhaustive load grid to a
+	//     bisection search per cell.
+	//   - Ctx and LiveName are set per experiment and per sweep series.
+	// Results are bit-identical for every Workers value.
+	sim.SweepOptions
 }
 
-func (o Options) pool() Pool { return Pool{Workers: o.Workers, ctx: o.ctx, progress: o.Progress} }
-
-// abort maps Options.Adaptive to the sweep engine's detector options:
-// nil (detached) by default, stock tuning when adaptive mode is on.
-func (o Options) abort() *sim.AbortOptions {
-	if !o.Adaptive {
-		return nil
-	}
-	return &sim.AbortOptions{}
-}
-
-func (o Options) context() context.Context {
-	if o.ctx != nil {
-		return o.ctx
-	}
-	return context.Background()
-}
+func (o Options) pool() Pool { return Pool{Workers: o.Workers, ctx: o.Ctx, progress: o.Progress} }
 
 func (o Options) seed() int64 {
 	if o.Seed == 0 {
@@ -231,7 +177,7 @@ func Run(id string, o Options) (*Table, error) {
 	// experiment id (worker/point labels nest inside; see Pool.Each).
 	pprof.Do(context.Background(), pprof.Labels("experiment", id),
 		func(ctx context.Context) {
-			o.ctx = ctx
+			o.Ctx = ctx
 			t, err = r(o)
 		})
 	if err != nil {

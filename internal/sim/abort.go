@@ -14,11 +14,15 @@ package sim
 // backlog — and, during the drain phase, whether the measured-packet
 // completion rate can still retire the stranded backlog before the
 // deadline. The measurement window always runs to completion, so
-// Offered and Accepted (and therefore SaturationThroughput and
-// FirstSaturatedLoad) are exactly those of a full run; only the drain
-// budget — 3-10x the measurement window in the stock configurations,
-// and the most expensive cycles of all since every buffer is full — is
-// cut short.
+// Offered and Accepted (and therefore SaturationThroughput) are exactly
+// those of a full run; only the drain budget — 3-10x the measurement
+// window in the stock configurations, and the most expensive cycles of
+// all since every buffer is full — is cut short. Drained is not
+// guaranteed: the completion-rate extrapolation can abort a point that
+// would have drained late in its budget, which flips Drained and so
+// FirstSaturatedLoad (and a bisection's knee). Full-scale fig22 shows
+// it: its proprietary-routing knee reads 0.60 in a full run and 0.50
+// with the detector armed.
 type AbortOptions struct {
 	// Every is the detector cadence in cycles (default 128). Checks are
 	// O(terminals), so the amortized cost is negligible; the cadence is

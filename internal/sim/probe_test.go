@@ -304,18 +304,19 @@ func TestSweepSummary(t *testing.T) {
 	}
 }
 
-// LatencyVsLoadProbed must return one snapshot per load point with live
-// counters.
+// A probed one-worker Sweep must return one snapshot per load point
+// with live counters.
 func TestLatencyVsLoadProbed(t *testing.T) {
 	cl := testClos(t)
 	cfg := testConfig()
 	cfg.WarmupCycles, cfg.MeasureCycles = 200, 400
 	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
 	injf := SyntheticInjector(traffic.Uniform(128), 4)
-	pts, err := LatencyVsLoadProbed(build, injf, []float64{0.2, 0.4})
+	res, err := Sweep(build, injf, []float64{0.2, 0.4}, SweepOptions{Workers: 1, Probe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := res.Points
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}

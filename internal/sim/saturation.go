@@ -18,13 +18,12 @@ type SaturationSearchOptions struct {
 	// MaxEvals caps the simulated points as a safety net (default 32 —
 	// far above the log2((Hi-Lo)/Tol)+2 a normal search needs).
 	MaxEvals int
-	// Abort, when non-nil, arms the early-abort saturation detector on
-	// every probed point, so the saturated half of the bracket costs a
-	// fraction of its drain budget (see AbortOptions).
-	Abort *AbortOptions
 }
 
-// SaturationResult is the outcome of a bisection saturation search.
+// SaturationResult is the outcome of a bisection saturation search. The
+// embedded SweepResult holds every probed point in ascending load order
+// and their observers merged in that order, exactly as Sweep would over
+// the same loads.
 type SaturationResult struct {
 	// Saturated reports whether any probed load failed to drain. When
 	// false the network never saturated within the bracket and
@@ -46,33 +45,34 @@ type SaturationResult struct {
 	SaturationThroughput float64 `json:"saturation_throughput"`
 	// Evaluations counts the simulated points.
 	Evaluations int `json:"evaluations"`
-	// Points holds every probed point's stats in ascending load order.
-	Points []SweepPoint `json:"points"`
+	SweepResult
 }
 
 // FindSaturation locates the saturation knee — the lowest offered load
 // that fails to drain — by bisection over (Lo, Hi], in
-// O(log((Hi-Lo)/Tol)) simulated points instead of a full grid. The
-// search is strictly sequential and each evaluation reuses the
-// PointSeed derivation (seed = base + evaluation index); since the
-// bisection path is itself a deterministic function of per-point
-// outcomes, which are deterministic per seed, the whole search
+// O(log((Hi-Lo)/Tol)) simulated points instead of a full grid. Each
+// evaluation runs through Sweep's per-point runner with every detector
+// and observer opt selects (opt.Workers is ignored: the search is
+// strictly sequential, so one warm network serves every evaluation). It
+// reuses the PointSeed derivation (seed = base + evaluation index);
+// since the bisection path is itself a deterministic function of
+// per-point outcomes, which are deterministic per seed, the whole search
 // reproduces bit-identically no matter how the caller parallelizes
 // around it.
 //
 // Edge bounds: a network that drains at Hi returns Saturated=false
 // after one evaluation; a network already saturated at Lo returns
 // FirstSaturatedLoad=Lo (the knee is at or below the bracket floor).
-func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOptions) (*SaturationResult, error) {
-	lo, hi := opt.Lo, opt.Hi
+func FindSaturation(build Builder, injf InjectorFactory, search SaturationSearchOptions, opt SweepOptions) (*SaturationResult, error) {
+	lo, hi := search.Lo, search.Hi
 	if hi <= 0 {
 		hi = 0.95
 	}
-	tol := opt.Tol
+	tol := search.Tol
 	if tol <= 0 {
 		tol = 0.02
 	}
-	maxEvals := opt.MaxEvals
+	maxEvals := search.MaxEvals
 	if maxEvals <= 0 {
 		maxEvals = 32
 	}
@@ -81,37 +81,29 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 	}
 
 	res := &SaturationResult{}
-	// The search is strictly sequential, so one network serves every
-	// evaluation: built on the first, Reset between the rest (seeded by
-	// evaluation index, exactly as the fresh-build-per-eval version
-	// was). Reset clears the abort detector, so it is re-armed per
-	// evaluation.
 	var wn workerNet
+	var rs []pointResult
 	eval := func(load float64) (Stats, error) {
-		n, err := wn.get(build, res.Evaluations)
+		if opt.Progress != nil {
+			opt.Progress.AddTotal(1)
+		}
+		r, err := runPoint(&wn, build, injf, len(rs), load, &opt)
 		if err != nil {
 			return Stats{}, err
 		}
-		if opt.Abort != nil {
-			n.SetAbort(opt.Abort)
-		}
-		inj, err := injf(load)
-		if err != nil {
-			return Stats{}, err
-		}
-		st := n.Run(inj, load)
-		res.Evaluations++
-		res.Points = append(res.Points, SweepPoint{Stats: st})
-		if st.Accepted > res.SaturationThroughput {
-			res.SaturationThroughput = st.Accepted
-		}
-		return st, nil
+		rs = append(rs, r)
+		return r.point.Stats, nil
 	}
-	finalize := func() *SaturationResult {
-		sort.Slice(res.Points, func(i, j int) bool {
-			return res.Points[i].Stats.Offered < res.Points[j].Stats.Offered
-		})
-		return res
+	finalize := func() (*SaturationResult, error) {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].point.Stats.Offered < rs[j].point.Stats.Offered })
+		sr, err := reducePoints(rs, &opt)
+		if err != nil {
+			return nil, err
+		}
+		res.SweepResult = *sr
+		res.Evaluations = len(rs)
+		res.SaturationThroughput = SaturationThroughput(res.Stats())
+		return res, nil
 	}
 
 	st, err := eval(hi)
@@ -120,7 +112,7 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 	}
 	if st.Drained {
 		res.LastDrainedLoad = hi
-		return finalize(), nil // never saturates within the bracket
+		return finalize() // never saturates within the bracket
 	}
 	res.Saturated = true
 	if lo > 0 {
@@ -130,11 +122,11 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 		}
 		if !st.Drained {
 			res.FirstSaturatedLoad = lo // knee at or below the floor
-			return finalize(), nil
+			return finalize()
 		}
 		res.LastDrainedLoad = lo
 	}
-	for hi-lo > tol && res.Evaluations < maxEvals {
+	for hi-lo > tol && len(rs) < maxEvals {
 		mid := (lo + hi) / 2
 		st, err := eval(mid)
 		if err != nil {
@@ -148,5 +140,5 @@ func FindSaturation(build Builder, injf InjectorFactory, opt SaturationSearchOpt
 		}
 	}
 	res.FirstSaturatedLoad = hi
-	return finalize(), nil
+	return finalize()
 }

@@ -26,8 +26,8 @@ func TestFindSaturationMatchesGrid(t *testing.T) {
 	build, injf := satMesh(t)
 	tol := 0.02
 	res, err := FindSaturation(build, injf, SaturationSearchOptions{
-		Hi: 0.4, Tol: tol, Abort: &AbortOptions{},
-	})
+		Hi: 0.4, Tol: tol,
+	}, SweepOptions{Abort: &AbortOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestFindSaturationMatchesGrid(t *testing.T) {
 func TestFindSaturationDeterministic(t *testing.T) {
 	build, injf := satMesh(t)
 	for _, abort := range []*AbortOptions{nil, {}} {
-		opt := SaturationSearchOptions{Hi: 0.4, Tol: 0.02, Abort: abort}
-		first, err := FindSaturation(build, injf, opt)
+		opt := SaturationSearchOptions{Hi: 0.4, Tol: 0.02}
+		first, err := FindSaturation(build, injf, opt, SweepOptions{Abort: abort})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestFindSaturationDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 2; rep++ {
-			again, err := FindSaturation(build, injf, opt)
+			again, err := FindSaturation(build, injf, opt, SweepOptions{Abort: abort})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,11 +106,11 @@ func TestFindSaturationDeterministic(t *testing.T) {
 // and the reported knee — matches the detector-free search.
 func TestFindSaturationAbortAgreesWithFull(t *testing.T) {
 	build, injf := satMesh(t)
-	full, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02})
+	full, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02, Abort: &AbortOptions{}})
+	fast, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02}, SweepOptions{Abort: &AbortOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFindSaturationAbortAgreesWithFull(t *testing.T) {
 // evaluation — no pointless bisection of a bracket with no knee inside.
 func TestFindSaturationNeverSaturates(t *testing.T) {
 	build, injf := satMesh(t)
-	res, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.03, Tol: 0.005})
+	res, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.03, Tol: 0.005}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFindSaturationNeverSaturates(t *testing.T) {
 // floor and bisecting inside the bracket cannot refine that.
 func TestFindSaturationAlwaysSaturated(t *testing.T) {
 	build, injf := satMesh(t)
-	res, err := FindSaturation(build, injf, SaturationSearchOptions{Lo: 0.2, Hi: 0.4, Tol: 0.02})
+	res, err := FindSaturation(build, injf, SaturationSearchOptions{Lo: 0.2, Hi: 0.4, Tol: 0.02}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFindSaturationAlwaysSaturated(t *testing.T) {
 // tolerance stops at MaxEvals instead of bisecting forever.
 func TestFindSaturationMaxEvals(t *testing.T) {
 	build, injf := satMesh(t)
-	res, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 1e-12, MaxEvals: 6})
+	res, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 1e-12, MaxEvals: 6}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFindSaturationBadBracket(t *testing.T) {
 		{Lo: -0.1, Hi: 0.4},
 		{Hi: 1.5},
 	} {
-		if _, err := FindSaturation(build, injf, opt); err == nil {
+		if _, err := FindSaturation(build, injf, opt, SweepOptions{}); err == nil {
 			t.Errorf("bracket %+v accepted, want error", opt)
 		}
 	}
@@ -198,7 +198,7 @@ func TestFindSaturationBadBracket(t *testing.T) {
 // ascending offered-load order regardless of the probe order.
 func TestFindSaturationPointsSorted(t *testing.T) {
 	build, injf := satMesh(t)
-	res, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02})
+	res, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: 0.4, Tol: 0.02}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,5 +210,57 @@ func TestFindSaturationPointsSorted(t *testing.T) {
 	}
 	if len(res.Points) != res.Evaluations {
 		t.Errorf("%d points for %d evaluations", len(res.Points), res.Evaluations)
+	}
+}
+
+// TestFindSaturationSharesSweepRunner pins that a search evaluation is
+// a Sweep point: with probe and attribution on, the search's first
+// evaluation (load Hi, PointSeed(base, 0)) equals point 0 of a Sweep
+// over []float64{Hi} — stats, probe snapshot, backpressure report and
+// post-mortem alike.
+func TestFindSaturationSharesSweepRunner(t *testing.T) {
+	build, injf := satMesh(t)
+	const hi = 0.4
+	opt := SweepOptions{Probe: true, Attribution: true}
+	search, err := FindSaturation(build, injf, SaturationSearchOptions{Hi: hi, Tol: 0.02}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := Sweep(build, injf, []float64{hi}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Points are sorted by load, so the evaluation at Hi is the last.
+	got := search.Points[len(search.Points)-1]
+	want := sweep.Points[0]
+	if got.Stats.Offered != hi {
+		t.Fatalf("highest search point offered %v, want %v", got.Stats.Offered, hi)
+	}
+	if want.Backpressure == nil || want.PostMortem == "" {
+		t.Fatal("saturated sweep point carries no backpressure report or post-mortem")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want interface{}
+	}{
+		{"stats", got.Stats, want.Stats},
+		{"probe", got.Probe, want.Probe},
+		{"backpressure", got.Backpressure, want.Backpressure},
+		{"post-mortem", got.PostMortem, want.PostMortem},
+	} {
+		g, err := json.Marshal(c.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := json.Marshal(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(g) != string(w) {
+			t.Errorf("%s of the search's evaluation at Hi differs from the sweep point:\nsearch %s\nsweep  %s", c.name, g, w)
+		}
+	}
+	if search.Attribution == nil || search.Aggregate == nil {
+		t.Error("search result carries no merged attribution or aggregate")
 	}
 }

@@ -91,7 +91,9 @@ type SweepPoint struct {
 	PostMortem   string                  `json:"post_mortem,omitempty"`
 }
 
-// SweepOptions configures a Sweep.
+// SweepOptions configures how every load point runs — the one set of
+// execution and observer settings shared by Sweep, FindSaturation and
+// the experiment harness (expt.Options embeds it).
 type SweepOptions struct {
 	// Workers bounds the goroutines running sweep points: 0 means
 	// GOMAXPROCS, 1 runs serially on the calling goroutine's schedule.
@@ -125,9 +127,11 @@ type SweepOptions struct {
 
 	// Abort, when non-nil, arms the early-abort saturation detector on
 	// every point (see AbortOptions). The measurement window always runs
-	// to completion, so Offered, Accepted and the Summarize reduction
-	// match a full sweep; saturated points skip the drain budget and
-	// report Stats.Aborted alongside Drained=false.
+	// to completion, so Offered, Accepted and SaturationThroughput match
+	// a full sweep; saturated points skip the drain budget and report
+	// Stats.Aborted alongside Drained=false. A point that would have
+	// drained late in its budget can be aborted instead, which flips its
+	// Drained and so can lower FirstSaturatedLoad.
 	Abort *AbortOptions
 
 	// Attribution attaches a congestion-attribution collector to every
@@ -171,6 +175,126 @@ func (r *SweepResult) Stats() []Stats {
 	return out
 }
 
+// pointResult is one point's run: its SweepPoint plus the per-point
+// observers the reduction merges.
+type pointResult struct {
+	point SweepPoint
+	coll  *obs.Collector
+	hist  obs.Histogram
+	tl    *obs.Timeline
+	at    *obs.Attribution
+}
+
+// runPoint runs point i at the given load on the worker's warm network
+// (seeded PointSeed(base, i)) with every detector and observer opt asks
+// for, and ticks opt.Progress when it completes. It is the one
+// per-point body behind Sweep and FindSaturation.
+func runPoint(w *workerNet, build Builder, injf InjectorFactory, i int, load float64, opt *SweepOptions) (pointResult, error) {
+	var r pointResult
+	n, err := w.get(build, i)
+	if err != nil {
+		return r, err
+	}
+	if opt.Abort != nil {
+		n.SetAbort(opt.Abort)
+	}
+	inj, err := injf(load)
+	if err != nil {
+		return r, err
+	}
+	if opt.Probe {
+		if err := n.AttachProbe(n.NewProbe()); err != nil {
+			return r, err
+		}
+	}
+	name := func() string { return fmt.Sprintf("%s/load=%g", opt.LiveName, load) }
+	if opt.TimelineInterval > 0 {
+		r.tl = obs.NewTimeline(opt.TimelineInterval, opt.TimelineSamples)
+		n.AttachTimeline(r.tl)
+		if opt.Live != nil {
+			opt.Live.Attach(name(), r.tl)
+		}
+	}
+	if opt.Attribution {
+		r.at = n.NewAttribution()
+		if err := n.AttachAttribution(r.at); err != nil {
+			return r, err
+		}
+	}
+	st := n.Run(inj, load)
+	r.point = SweepPoint{Stats: st}
+	if opt.Probe {
+		r.point.Probe = n.Snapshot()
+		r.coll = n.probe
+	}
+	if opt.Attribution {
+		r.point.Backpressure = n.Backpressure()
+		r.point.PostMortem = n.SaturationPostMortem(st)
+		if opt.LiveAttrib != nil {
+			if err := opt.LiveAttrib.Add(r.at); err != nil {
+				return r, err
+			}
+			if r.point.Backpressure != nil {
+				opt.LiveAttrib.Report(name(), r.point.Backpressure)
+			}
+		}
+	}
+	r.hist = n.LatencyHistogram()
+	if opt.Progress != nil {
+		opt.Progress.PointDone()
+	}
+	return r, nil
+}
+
+// reducePoints merges per-point results in slice order on the calling
+// goroutine, so the merged result is independent of worker scheduling.
+func reducePoints(rs []pointResult, opt *SweepOptions) (*SweepResult, error) {
+	res := &SweepResult{Points: make([]SweepPoint, len(rs))}
+	var aggHist obs.Histogram
+	var agg *obs.Collector
+	for i := range rs {
+		res.Points[i] = rs[i].point
+		aggHist.Merge(&rs[i].hist)
+		c := rs[i].coll
+		if c == nil {
+			continue
+		}
+		if agg == nil {
+			agg = obs.NewCollector(len(c.Routers), len(c.Channels))
+			copy(agg.Meta, c.Meta)
+		}
+		if err := agg.Merge(c); err != nil {
+			return nil, err
+		}
+	}
+	if agg != nil {
+		s := agg.Snapshot(8)
+		s.Latency = aggHist.Snapshot()
+		res.Aggregate = s
+	} else if aggHist.Count() > 0 {
+		res.Aggregate = &obs.Snapshot{Latency: aggHist.Snapshot()}
+	}
+	if opt.TimelineInterval > 0 {
+		aggTL := obs.NewTimeline(opt.TimelineInterval, opt.TimelineSamples)
+		for i := range rs {
+			if err := aggTL.Merge(rs[i].tl); err != nil {
+				return nil, err
+			}
+		}
+		res.Timeline = aggTL.Snapshot()
+	}
+	if opt.Attribution && len(rs) > 0 {
+		aggAt := obs.NewAttribution(len(rs[0].at.Routers), len(rs[0].at.ChanBlame))
+		for i := range rs {
+			if err := aggAt.Merge(rs[i].at); err != nil {
+				return nil, err
+			}
+		}
+		res.Attribution = aggAt.Snapshot(8)
+	}
+	return res, nil
+}
+
 // Sweep runs the network at each offered load, fanning points across a
 // bounded worker pool. Each worker builds one Network on its first
 // point and Resets it between points (reseeding with PointSeed), and
@@ -184,90 +308,23 @@ func (r *SweepResult) Stats() []Stats {
 // attribute samples to individual points; the one-worker path runs
 // inline under the caller's labels.
 func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOptions) (*SweepResult, error) {
+	// Workers <= 0 means one per core. On one schedulable core the
+	// fan-out buys no parallelism, and results are bit-identical for
+	// every worker count (each point's seed depends only on its index),
+	// so the goroutine pool would be pure scheduling overhead plus one
+	// warm network per worker: run inline instead.
 	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || procs == 1 {
+		workers = procs
 	}
-	if workers > len(loads) {
-		workers = len(loads)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 && runtime.GOMAXPROCS(0) == 1 {
-		// One schedulable core: the fan-out buys no parallelism, and
-		// results are bit-identical for every worker count (each point's
-		// seed depends only on its index), so the goroutine pool would be
-		// pure scheduling overhead plus one warm network per worker. Run
-		// inline instead.
-		workers = 1
-	}
+	workers = max(1, min(workers, len(loads)))
 
-	points := make([]SweepPoint, len(loads))
-	colls := make([]*obs.Collector, len(loads))
-	hists := make([]obs.Histogram, len(loads))
-	tls := make([]*obs.Timeline, len(loads))
-	ats := make([]*obs.Attribution, len(loads))
+	rs := make([]pointResult, len(loads))
 	errs := make([]error, len(loads))
-
 	if opt.Progress != nil {
 		opt.Progress.AddTotal(len(loads))
 	}
-
-	runPoint := func(w *workerNet, i int) error {
-		n, err := w.get(build, i)
-		if err != nil {
-			return err
-		}
-		if opt.Abort != nil {
-			n.SetAbort(opt.Abort)
-		}
-		inj, err := injf(loads[i])
-		if err != nil {
-			return err
-		}
-		if opt.Probe {
-			if err := n.AttachProbe(n.NewProbe()); err != nil {
-				return err
-			}
-		}
-		if opt.TimelineInterval > 0 {
-			tls[i] = obs.NewTimeline(opt.TimelineInterval, opt.TimelineSamples)
-			n.AttachTimeline(tls[i])
-			if opt.Live != nil {
-				opt.Live.Attach(fmt.Sprintf("%s/load=%g", opt.LiveName, loads[i]), tls[i])
-			}
-		}
-		if opt.Attribution {
-			ats[i] = n.NewAttribution()
-			if err := n.AttachAttribution(ats[i]); err != nil {
-				return err
-			}
-		}
-		st := n.Run(inj, loads[i])
-		points[i] = SweepPoint{Stats: st}
-		if opt.Probe {
-			points[i].Probe = n.Snapshot()
-			colls[i] = n.probe
-		}
-		if opt.Attribution {
-			points[i].Backpressure = n.Backpressure()
-			points[i].PostMortem = n.SaturationPostMortem(st)
-			if opt.LiveAttrib != nil {
-				if err := opt.LiveAttrib.Add(ats[i]); err != nil {
-					return err
-				}
-				if points[i].Backpressure != nil {
-					opt.LiveAttrib.Report(fmt.Sprintf("%s/load=%g", opt.LiveName, loads[i]), points[i].Backpressure)
-				}
-			}
-		}
-		hists[i] = n.LatencyHistogram()
-		if opt.Progress != nil {
-			opt.Progress.PointDone()
-		}
-		return nil
-	}
+	run := func(w *workerNet, i int) { rs[i], errs[i] = runPoint(w, build, injf, i, loads[i], &opt) }
 
 	if workers == 1 {
 		// Serial fast path: run inline on the calling goroutine, with no
@@ -276,7 +333,7 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 		// sweep nests inside) and profiles show no scheduling detour.
 		var wn workerNet
 		for i := range loads {
-			errs[i] = runPoint(&wn, i)
+			run(&wn, i)
 		}
 	} else {
 		parent := opt.Ctx
@@ -300,7 +357,7 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 							}
 							pprof.Do(ctx,
 								pprof.Labels("sweep_point", strconv.Itoa(i)),
-								func(context.Context) { errs[i] = runPoint(&wn, i) })
+								func(context.Context) { run(&wn, i) })
 						}
 					})
 			}(w)
@@ -312,51 +369,7 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 			return nil, err
 		}
 	}
-
-	// Reduction. Always in ascending point order on this goroutine, so
-	// the merged result is independent of worker scheduling.
-	res := &SweepResult{Points: points}
-	var aggHist obs.Histogram
-	var agg *obs.Collector
-	for i := range loads {
-		aggHist.Merge(&hists[i])
-		if colls[i] == nil {
-			continue
-		}
-		if agg == nil {
-			agg = obs.NewCollector(len(colls[i].Routers), len(colls[i].Channels))
-			copy(agg.Meta, colls[i].Meta)
-		}
-		if err := agg.Merge(colls[i]); err != nil {
-			return nil, err
-		}
-	}
-	if agg != nil {
-		s := agg.Snapshot(8)
-		s.Latency = aggHist.Snapshot()
-		res.Aggregate = s
-	} else if aggHist.Count() > 0 {
-		res.Aggregate = &obs.Snapshot{Latency: aggHist.Snapshot()}
-	}
-	if opt.TimelineInterval > 0 {
-		aggTL := obs.NewTimeline(opt.TimelineInterval, opt.TimelineSamples)
-		for i := range loads {
-			if err := aggTL.Merge(tls[i]); err != nil {
-				return nil, err
-			}
-		}
-		res.Timeline = aggTL.Snapshot()
-	}
-	if opt.Attribution && len(loads) > 0 {
-		aggAt := obs.NewAttribution(len(ats[0].Routers), len(ats[0].ChanBlame))
-		for i := range loads {
-			if err := aggAt.Merge(ats[i]); err != nil {
-				return nil, err
-			}
-		}
-		res.Attribution = aggAt.Snapshot(8)
-	}
-	return res, nil
+	return reducePoints(rs, &opt)
 }
 
 // LatencyVsLoad runs the network at each offered load and returns the
@@ -368,18 +381,6 @@ func LatencyVsLoad(build Builder, injf InjectorFactory, loads []float64) ([]Stat
 		return nil, err
 	}
 	return res.Stats(), nil
-}
-
-// LatencyVsLoadProbed is LatencyVsLoad with a fresh probe attached to
-// every run, returning per-point stats plus per-router/per-channel
-// counter snapshots and the latency histogram — the machine-readable
-// form behind wsswitch -json.
-func LatencyVsLoadProbed(build Builder, injf InjectorFactory, loads []float64) ([]SweepPoint, error) {
-	res, err := Sweep(build, injf, loads, SweepOptions{Workers: 1, Probe: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Points, nil
 }
 
 // SaturationThroughput extracts the saturation throughput from a load
