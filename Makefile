@@ -68,10 +68,15 @@ race:
 # and the reference bit for bit, FuzzSweepDeterminism diffs parallel
 # sweeps against serial ones.
 # Failures print a replay spec for `wsswitch -replay`.
+# FuzzOptimizeEquivalence diffs the pairwise-exchange optimizer, which
+# prices swaps with difference arrays, against the swap/Cost/revert
+# reference loop on fuzzed topologies, grid shapes (1-row, 1-column,
+# empty cells) and seeds.
 fuzz-smoke:
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSimEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzResetEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim/refsim -run NONE -fuzz 'FuzzSweepDeterminism$$' -fuzztime 10s
+	$(GO) test ./internal/mapping -run NONE -fuzz 'FuzzOptimizeEquivalence$$' -fuzztime 10s
 
 # cover enforces the total -short coverage floor (COVER_FLOOR).
 cover:

@@ -139,9 +139,10 @@ func BenchmarkMappingOptimize(b *testing.B) {
 }
 
 // BenchmarkMappingConvergedPass measures one full pairwise-exchange sweep
-// over a converged placement: every cell pair is swap-evaluated and
-// reverted, exercising the incremental channel-load accounting the
-// optimizer depends on (DESIGN.md ablation).
+// over a converged placement: every cell pair is priced with difference
+// arrays and rejected without writing to the channel loads, exercising
+// the incremental swap evaluation the optimizer depends on (DESIGN.md
+// ablation).
 func BenchmarkMappingConvergedPass(b *testing.B) {
 	cl, err := topo.HomogeneousClos(4096, ssc.MustTH5(200))
 	if err != nil {

@@ -16,7 +16,9 @@ import (
 //
 // The energy is the same lexicographic cost as Optimize: bottleneck
 // channel load first, total lane-hops as a dense tie-breaker (scaled so
-// it never outweighs one unit of bottleneck load).
+// it never outweighs one unit of bottleneck load). Moves are priced
+// exactly by a swapEval, as in Optimize, so a rejected move never writes
+// to the channel loads.
 func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 	if p.externalRouted {
 		panic("mapping: Anneal called after RouteExternal")
@@ -25,11 +27,8 @@ func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 	if cells < 2 || sweeps < 1 {
 		return
 	}
-	energy := func() float64 {
-		c := p.Cost()
-		return float64(c.MaxLoad) + float64(c.LaneHops)*1e-7
-	}
-	cur := energy()
+	ev := newSwapEval(p)
+	cur := energy(p.Cost())
 	bestPos := append([]int(nil), p.pos...)
 	best := cur
 
@@ -42,12 +41,9 @@ func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 		if ca == cb {
 			continue
 		}
-		p.swapCells(ca, cb)
-		e := energy()
-		if d := e - cur; d > 0 {
+		if d := energy(ev.cost(ca, cb)) - cur; d > 0 {
 			deltaSum += d
 		}
-		p.swapCells(ca, cb)
 	}
 	t0 := deltaSum/probes + 1
 	moves := sweeps * cells
@@ -58,21 +54,24 @@ func (p *Placement) Anneal(sweeps int, rng *rand.Rand) {
 		if ca == cb || (p.cell[ca] == -1 && p.cell[cb] == -1) {
 			continue
 		}
-		p.swapCells(ca, cb)
-		e := energy()
+		e := energy(ev.cost(ca, cb))
 		d := e - cur
 		if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
+			ev.commit(ca, cb)
 			cur = e
 			if cur < best {
 				best = cur
 				copy(bestPos, p.pos)
 			}
-		} else {
-			p.swapCells(ca, cb)
 		}
 	}
 	// Restore the best placement seen.
 	p.restorePositions(bestPos)
+}
+
+// energy is Anneal's scalar form of the lexicographic cost.
+func energy(c Cost) float64 {
+	return float64(c.MaxLoad) + float64(c.LaneHops)*1e-7
 }
 
 // restorePositions rebuilds the placement at the given node positions.

@@ -223,66 +223,18 @@ func (p *Placement) Cost() Cost {
 	return Cost{MaxLoad: p.MaxLoad(), LaneHops: p.totalLaneHops}
 }
 
-// unrouteNode removes the paths of all links incident to the node, and
-// routeNode re-adds them. Used for incremental swap evaluation.
-func (p *Placement) unrouteNode(n int, skipPeer int) {
-	for _, li := range p.incident[n] {
-		l := p.Topo.Links[li]
-		if (l.A == n && l.B == skipPeer) || (l.B == n && l.A == skipPeer) {
-			continue // handled once by the caller for links between the pair
-		}
-		p.route(p.pos[l.A], p.pos[l.B], -l.Lanes)
-	}
-}
-
-func (p *Placement) routeNode(n int, skipPeer int) {
-	for _, li := range p.incident[n] {
-		l := p.Topo.Links[li]
-		if (l.A == n && l.B == skipPeer) || (l.B == n && l.A == skipPeer) {
-			continue
-		}
-		p.route(p.pos[l.A], p.pos[l.B], l.Lanes)
-	}
-}
-
-// swapCells exchanges the contents of two cells (either may be empty),
-// keeping the channel loads consistent. Links between the two nodes are
-// unrouted/rerouted exactly once.
-func (p *Placement) swapCells(ca, cb int) {
-	na, nb := p.cell[ca], p.cell[cb]
-	if na == nb { // both empty
-		return
-	}
-	if na != -1 {
-		p.unrouteNode(na, nb)
-	}
-	if nb != -1 {
-		p.unrouteNode(nb, -2) // -2 never matches, so pair links removed here
-	}
-	p.cell[ca], p.cell[cb] = nb, na
-	if na != -1 {
-		p.pos[na] = cb
-	}
-	if nb != -1 {
-		p.pos[nb] = ca
-	}
-	if na != -1 {
-		p.routeNode(na, nb)
-	}
-	if nb != -1 {
-		p.routeNode(nb, -2)
-	}
-}
-
 // Optimize runs the paper's Algorithm 1: repeated sweeps over all cell
 // pairs, keeping any swap that improves the cost, until a full sweep
 // makes no improvement or maxPasses is reached. It returns the number of
-// passes executed. Optimize must be called before RouteExternal.
+// passes executed. Swaps are priced by a swapEval, so only accepted swaps
+// write to the channel loads. Optimize must be called before
+// RouteExternal.
 func (p *Placement) Optimize(maxPasses int) int {
 	if p.externalRouted {
 		panic("mapping: Optimize called after RouteExternal")
 	}
 	cells := p.Rows * p.Cols
+	e := newSwapEval(p)
 	best := p.Cost()
 	passes := 0
 	for passes < maxPasses {
@@ -293,12 +245,10 @@ func (p *Placement) Optimize(maxPasses int) int {
 				if p.cell[ca] == -1 && p.cell[cb] == -1 {
 					continue
 				}
-				p.swapCells(ca, cb)
-				if c := p.Cost(); c.Less(best) {
-					best = c
+				if e.improves(ca, cb, best) {
+					e.commit(ca, cb)
+					best = p.Cost()
 					improved = true
-				} else {
-					p.swapCells(ca, cb) // revert
 				}
 			}
 		}
