@@ -19,7 +19,9 @@ import (
 // point sets that are not load sweeps. The fan-out logic is deliberately
 // duplicated from sim.Sweep rather than shared: expt imports sim, so sim
 // cannot import a common pool from here without a cycle, and the loop is
-// a dozen lines.
+// a dozen lines. One difference: sim.Sweep hands out its heaviest load
+// points first, while Pool dispatches in index order, because its items
+// carry no cost proxy.
 type Pool struct {
 	// Workers: 0 means one per CPU (GOMAXPROCS), 1 runs serially on the
 	// calling goroutine.

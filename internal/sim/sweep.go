@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -96,9 +98,11 @@ type SweepPoint struct {
 // the experiment harness (expt.Options embeds it).
 type SweepOptions struct {
 	// Workers bounds the goroutines running sweep points: 0 means
-	// GOMAXPROCS, 1 runs serially on the calling goroutine's schedule.
-	// Results are identical for every value — each point's network is
-	// seeded by PointSeed and merged in point order after the barrier.
+	// GOMAXPROCS, 1 runs serially on the calling goroutine in input
+	// order. With more than one worker, points are handed out in
+	// descending load order. Results are identical for every value —
+	// each point's network is seeded by PointSeed and merged in point
+	// order after the barrier.
 	Workers int
 	// Probe attaches a fresh collector to every point, filling
 	// SweepPoint.Probe and SweepResult.Aggregate's counters.
@@ -295,6 +299,33 @@ func reducePoints(rs []pointResult, opt *SweepOptions) (*SweepResult, error) {
 	return res, nil
 }
 
+// dispatchOrder returns the point indices in the order parallel sweep
+// workers pull them: descending offered load, ties by ascending index.
+// This is Graham's longest-processing-time rule, with load as the cost
+// proxy. With Abort nil a point's cost never falls as load rises: a
+// drained point's work scales with the flits it moves, which scale with
+// load, and a point past the knee runs warmup, measure and the full
+// drain budget at saturation throughput. Handed out in input order
+// (ascending load in the experiments), the costliest point would start
+// last and often run alone. With Abort set, an aborted point can cost
+// less than a lighter drained one, so the order is still a valid
+// schedule, only possibly less tight. Only when a point runs changes:
+// its seed, result slot, labels and merge position stay keyed by its
+// input index.
+func dispatchOrder(loads []float64) []int {
+	order := make([]int, len(loads))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(loads[b], loads[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
 // Sweep runs the network at each offered load, fanning points across a
 // bounded worker pool. Each worker builds one Network on its first
 // point and Resets it between points (reseeding with PointSeed), and
@@ -303,6 +334,8 @@ func reducePoints(rs []pointResult, opt *SweepOptions) (*SweepResult, error) {
 // stock builders and injector factories are. Results are bit-identical
 // to building fresh per point: Reset provably rewinds to the built
 // state, and every point's traffic depends only on its PointSeed.
+// Parallel workers pull points heaviest first (see dispatchOrder);
+// results stay keyed by input index, so the order cannot change them.
 // Parallel workers carry runtime/pprof labels (sweep_worker,
 // sweep_point, plus whatever opt.Ctx contributes) so CPU profiles
 // attribute samples to individual points; the one-worker path runs
@@ -340,6 +373,7 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 		if parent == nil {
 			parent = context.Background()
 		}
+		order := dispatchOrder(loads)
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -351,10 +385,11 @@ func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOption
 					func(ctx context.Context) {
 						var wn workerNet
 						for {
-							i := int(next.Add(1)) - 1
-							if i >= len(loads) {
+							k := int(next.Add(1)) - 1
+							if k >= len(order) {
 								return
 							}
+							i := order[k]
 							pprof.Do(ctx,
 								pprof.Labels("sweep_point", strconv.Itoa(i)),
 								func(context.Context) { run(&wn, i) })

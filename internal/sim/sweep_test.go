@@ -2,6 +2,9 @@ package sim
 
 import (
 	"encoding/json"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"waferswitch/internal/obs"
@@ -18,9 +21,12 @@ func sweepTestConfig() Config {
 
 // Parallel sweeps must be bit-identical to serial ones: every point's
 // network is seeded by PointSeed(base, i) regardless of which worker
-// runs it, and the aggregate is merged in point order after the barrier.
+// runs it or when (workers take the heaviest loads first), and the
+// aggregate is merged in point order after the barrier.
 // Table-driven over an indirect (Clos) and a direct (mesh, DOR-routed)
-// topology since they exercise different routing and channel shapes.
+// topology since they exercise different routing and channel shapes,
+// plus loads given out of order and with duplicates, whose dispatch
+// order differs from their input order.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	chip, err := ssc.MustTH5(200).Deradix(8)
 	if err != nil {
@@ -34,25 +40,37 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		name  string
 		top   *topo.Topology
 		loads []float64
+		drain int // Config.DrainCycles; 0 keeps the default budget
 	}{
 		// The mesh saturates early under uniform traffic (poor bisection),
 		// so its loads stay below the knee to keep drains fast.
-		{"clos128", testClos(t), []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.55}},
-		{"mesh3x3", mesh, []float64{0.02, 0.05, 0.08, 0.11}},
+		{"clos128", testClos(t), []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.55}, 0},
+		{"mesh3x3", mesh, []float64{0.02, 0.05, 0.08, 0.11}, 0},
+		// The 0.9 points saturate; a short drain budget keeps them cheap.
+		{"clos128-unsorted", testClos(t), []float64{0.3, 0.9, 0.1, 0.6, 0.9}, 600},
 	}
 	for _, tc := range cases {
 		loads := tc.loads
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sweepTestConfig()
+			cfg.DrainCycles = tc.drain
 			build := func() (*Network, error) { return Build(tc.top, ConstantLatency(1), cfg) }
 			injf := SyntheticInjector(traffic.Uniform(tc.top.ExternalPorts()), cfg.PacketFlits)
 
-			serial, err := Sweep(build, injf, loads, SweepOptions{Workers: 1, Probe: true})
+			opt := SweepOptions{Workers: 1, Probe: true, Attribution: true,
+				TimelineInterval: 100, TimelineSamples: 16}
+			serial, err := Sweep(build, injf, loads, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{4, 0} {
-				par, err := Sweep(build, injf, loads, SweepOptions{Workers: workers, Probe: true})
+			for i, p := range serial.Points {
+				if p.Stats.Offered != loads[i] {
+					t.Errorf("point %d offered %v, want loads[%d] = %v", i, p.Stats.Offered, i, loads[i])
+				}
+			}
+			for _, workers := range []int{2, 3, 4, 5, 0} {
+				opt.Workers = workers
+				par, err := Sweep(build, injf, loads, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +92,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				if string(sj) != string(pj) {
-					t.Errorf("workers=%d: full JSON (probes + aggregate) diverges", workers)
+					t.Errorf("workers=%d: full JSON (probes, aggregate, timeline, attribution) diverges", workers)
 				}
 			}
 
@@ -90,6 +108,74 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestDispatchOrder(t *testing.T) {
+	cases := []struct {
+		name  string
+		loads []float64
+		want  []int
+	}{
+		{"empty", nil, []int{}},
+		{"single", []float64{0.4}, []int{0}},
+		{"ascending", []float64{0.1, 0.2, 0.3}, []int{2, 1, 0}},
+		{"descending", []float64{0.9, 0.5, 0.1}, []int{0, 1, 2}},
+		{"ties", []float64{0.5, 0.5, 0.5}, []int{0, 1, 2}},
+		{"any order", []float64{0.3, 0.9, 0.1, 0.6, 0.9}, []int{1, 4, 3, 0, 2}},
+	}
+	for _, tc := range cases {
+		if got := dispatchOrder(tc.loads); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: dispatchOrder(%v) = %v, want %v", tc.name, tc.loads, got, tc.want)
+		}
+	}
+}
+
+// The parallel sweep must start its heaviest points first. The wrapped
+// factory records each call's load; the first W calls wait until all W
+// workers have arrived, so no point can finish (and let its worker pull
+// another) before the first W points have started.
+func TestSweepDispatchesHeaviestFirst(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// Sweep runs inline on one schedulable core.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	cfg := sweepTestConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 20, 40, 200
+	cl := testClos(t)
+	build := func() (*Network, error) { return Build(cl, ConstantLatency(1), cfg) }
+	base := SyntheticInjector(traffic.Uniform(cl.ExternalPorts()), cfg.PacketFlits)
+	loads := []float64{0.1, 0.5, 0.3, 0.9}
+	record := func(workers int) []float64 {
+		var (
+			mu      sync.Mutex
+			got     []float64
+			barrier sync.WaitGroup
+		)
+		barrier.Add(workers)
+		injf := func(load float64) (Injector, error) {
+			mu.Lock()
+			k := len(got)
+			got = append(got, load)
+			mu.Unlock()
+			if k < workers {
+				barrier.Done()
+				barrier.Wait()
+			}
+			return base(load)
+		}
+		if _, err := Sweep(build, injf, loads, SweepOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	first := record(2)[:2]
+	slices.Sort(first)
+	if !slices.Equal(first, []float64{0.5, 0.9}) {
+		t.Errorf("workers=2 started loads %v first, want {0.9, 0.5}", first)
+	}
+	if got := record(1); !slices.Equal(got, loads) {
+		t.Errorf("workers=1 ran loads %v, want input order %v", got, loads)
 	}
 }
 
