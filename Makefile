@@ -51,15 +51,18 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# expt runs with -short: the full-suite test is redundant under race and
-# the dedicated pool/parallel-sweep tests never skip. The adaptive sweep
-# engine's tests (abort_test, saturation_test, converge_test, and the
-# expt adaptive determinism tests) live inside these packages, so the
-# early-abort detector and bisection search run under the race detector
-# on every check.
+# expt and core run with -short: their full-suite tests are redundant
+# under race, and the dedicated pool/parallel-sweep and restart
+# equivalence tests never skip. The adaptive sweep engine's tests
+# (abort_test, saturation_test, converge_test, and the expt adaptive
+# determinism tests) live inside these packages, so the early-abort
+# detector and bisection search run under the race detector on every
+# check. internal/par is the shared fan-out loop and its nested worker
+# budget; mapping.Best and core's placement restarts run their restarts
+# concurrently on it.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/...
-	$(GO) test -race -short ./internal/expt/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/par/... ./internal/mapping/...
+	$(GO) test -race -short ./internal/expt/... ./internal/core/...
 
 # fuzz-smoke gives each differential fuzz target a short budget on top
 # of the committed seed corpus: FuzzSimEquivalence diffs the optimized

@@ -24,6 +24,7 @@ import (
 	"math/rand"
 
 	"waferswitch/internal/mapping"
+	"waferswitch/internal/par"
 	"waferswitch/internal/power"
 	"waferswitch/internal/ssc"
 	"waferswitch/internal/tech"
@@ -69,8 +70,9 @@ type Params struct {
 	// substrate area and pays a repeater power overhead (Fig 26).
 	PhysicalClos bool
 	// MapRestarts is the number of random restarts for the placement
-	// optimizer (the paper uses 1000 and reports <1% spread; 3 is enough
-	// to reproduce every shape here). Zero means 3.
+	// optimizer (the paper uses 1000 and reports <1% spread). Zero means
+	// 3. Restart i is seeded Seed+i and the restarts run in parallel;
+	// the result does not depend on the worker count.
 	MapRestarts int
 	// Seed makes the whole evaluation deterministic.
 	Seed int64
@@ -181,7 +183,7 @@ func EvaluateTopology(p Params, actual, equiv *topo.Topology, identityPlacement 
 	// --- Internal bandwidth (mapping) ---
 	needMapping := cons.Internal || cons.Power || p.PhysicalClos
 	if needMapping {
-		pl, err := d.placeAndEscape(p, equiv, identityPlacement)
+		pl, err := placer(d, p, equiv, identityPlacement)
 		if err != nil {
 			return nil, err
 		}
@@ -230,6 +232,11 @@ func EvaluateTopology(p Params, actual, equiv *topo.Topology, identityPlacement 
 	return d, nil
 }
 
+// placer is the placement step EvaluateTopology runs. It is a variable
+// only so that tests can swap in the serial restart loop the parallel
+// one must match bit for bit.
+var placer = (*Design).placeAndEscape
+
 // placeAndEscape maps the topology onto the chiplet grid and routes the
 // periphery external escape paths. Restarts are selected by the final
 // (post-escape) bottleneck load, not the internal-only load: a placement
@@ -260,22 +267,40 @@ func (d *Design) placeAndEscape(p Params, equiv *topo.Topology, identityPlacemen
 		}
 		return pl, nil
 	}
-	var best *mapping.Placement
-	for i := 0; i < p.restarts(); i++ {
-		rng := rand.New(rand.NewSource(p.Seed + int64(i)))
-		pl, err := mapping.New(equiv, d.GridRows, d.GridCols, rng)
-		if err != nil {
-			return nil, err
+	// Restart i starts from its own seed, Seed+i, so the restarts run in
+	// parallel and the winner, picked below in index order by the same
+	// strict rule a serial loop applies, does not depend on the worker
+	// count.
+	type restart struct {
+		pl          *mapping.Placement
+		err, escErr error
+	}
+	rs := make([]restart, p.restarts())
+	err := par.Each(len(rs), par.Options{Name: "core.placeAndEscape"}, func(i int) error {
+		r := &rs[i]
+		r.pl, r.err = mapping.New(equiv, d.GridRows, d.GridCols, rand.New(rand.NewSource(p.Seed+int64(i))))
+		if r.err == nil {
+			r.pl.Optimize(50)
+			r.escErr = escape(r.pl)
 		}
-		pl.Optimize(50)
-		if err := escape(pl); err != nil {
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var best *mapping.Placement
+	for _, r := range rs {
+		if r.err != nil {
+			return nil, r.err
+		}
+		if r.escErr != nil {
 			// Escape capacity is placement-independent (totals only), so
 			// one failure fails them all.
-			d.fail("external: " + err.Error())
-			return pl, nil
+			d.fail("external: " + r.escErr.Error())
+			return r.pl, nil
 		}
-		if best == nil || pl.MaxLoad() < best.MaxLoad() {
-			best = pl
+		if best == nil || r.pl.MaxLoad() < best.MaxLoad() {
+			best = r.pl
 		}
 	}
 	return best, nil

@@ -93,6 +93,9 @@ func (p *Placement) restorePositions(positions []int) {
 
 // BestAnnealed runs annealing from `restarts` random initial placements
 // and returns the best result, mirroring Best for the greedy optimizer.
+// Unlike Best, its restarts run serially: Anneal draws its moves from
+// the same rng stream that draws the next restart's initial placement,
+// so restart i's start depends on every draw of the restarts before it.
 func BestAnnealed(t *topo.Topology, rows, cols, restarts, sweeps int, seed int64) (*Placement, error) {
 	if restarts < 1 {
 		restarts = 1

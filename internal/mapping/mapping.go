@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"waferswitch/internal/par"
 	"waferswitch/internal/topo"
 )
 
@@ -247,7 +248,7 @@ func (p *Placement) Optimize(maxPasses int) int {
 				}
 				if e.improves(ca, cb, best) {
 					e.commit(ca, cb)
-					best = p.Cost()
+					best = Cost{MaxLoad: e.maxLoad(), LaneHops: p.totalLaneHops}
 					improved = true
 				}
 			}
@@ -262,21 +263,32 @@ func (p *Placement) Optimize(maxPasses int) int {
 // Best runs the optimizer from `restarts` random initial placements and
 // returns the placement with the lowest cost. The paper uses 1000
 // restarts but reports <1% spread; we default to fewer for speed (the
-// caller chooses).
+// caller chooses). Every initial placement is drawn first, in order,
+// from the one stream seeded by seed; the optimizations then run in
+// parallel, and the winner is the lowest (Cost, restart index), so the
+// result does not depend on the worker count.
 func Best(t *topo.Topology, rows, cols, restarts int, seed int64) (*Placement, error) {
 	if restarts < 1 {
 		restarts = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var best *Placement
-	var bestCost Cost
-	for i := 0; i < restarts; i++ {
+	ps := make([]*Placement, restarts)
+	for i := range ps {
 		p, err := New(t, rows, cols, rng)
 		if err != nil {
 			return nil, err
 		}
-		p.Optimize(50)
-		if c := p.Cost(); best == nil || c.Less(bestCost) {
+		ps[i] = p
+	}
+	if err := par.Each(restarts, par.Options{Name: "mapping.Best"}, func(i int) error {
+		ps[i].Optimize(50)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	best, bestCost := ps[0], ps[0].Cost()
+	for _, p := range ps[1:] {
+		if c := p.Cost(); c.Less(bestCost) {
 			best, bestCost = p, c
 		}
 	}

@@ -73,6 +73,16 @@ func (e *swapEval) lineLoadMax(l int) int {
 	return m
 }
 
+// maxLoad returns the committed placement's MaxLoad from the cached
+// per-line maxima.
+func (e *swapEval) maxLoad() int {
+	m := 0
+	for _, v := range e.lineMax {
+		m = max(m, v)
+	}
+	return m
+}
+
 // stage loads the difference arrays, touched lines and dHops with the
 // swap of cells ca and cb, after clearing the previous swap's entries.
 // A link between the two nodes is staged once.

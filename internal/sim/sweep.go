@@ -4,14 +4,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
 	"slices"
-	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"waferswitch/internal/obs"
+	"waferswitch/internal/par"
 	"waferswitch/internal/traffic"
 )
 
@@ -100,9 +96,12 @@ type SweepOptions struct {
 	// Workers bounds the goroutines running sweep points: 0 means
 	// GOMAXPROCS, 1 runs serially on the calling goroutine in input
 	// order. With more than one worker, points are handed out in
-	// descending load order. Results are identical for every value —
-	// each point's network is seeded by PointSeed and merged in point
-	// order after the barrier.
+	// descending load order, and the workers beyond the calling
+	// goroutine come from the process-wide budget of internal/par, so a
+	// sweep nested in a parallel experiment grid does not oversubscribe
+	// the cores. Results do not depend on the worker count: each point's
+	// network is seeded by PointSeed and merged in point order after the
+	// barrier.
 	Workers int
 	// Probe attaches a fresh collector to every point, filling
 	// SweepPoint.Probe and SweepResult.Aggregate's counters.
@@ -326,83 +325,39 @@ func dispatchOrder(loads []float64) []int {
 	return order
 }
 
-// Sweep runs the network at each offered load, fanning points across a
-// bounded worker pool. Each worker builds one Network on its first
-// point and Resets it between points (reseeding with PointSeed), and
-// each point gets its own collector, so workers share nothing mutable;
-// build and injf must therefore be safe for concurrent use, which the
-// stock builders and injector factories are. Results are bit-identical
-// to building fresh per point: Reset provably rewinds to the built
-// state, and every point's traffic depends only on its PointSeed.
-// Parallel workers pull points heaviest first (see dispatchOrder);
-// results stay keyed by input index, so the order cannot change them.
-// Parallel workers carry runtime/pprof labels (sweep_worker,
-// sweep_point, plus whatever opt.Ctx contributes) so CPU profiles
-// attribute samples to individual points; the one-worker path runs
-// inline under the caller's labels.
+// Sweep runs the network at each offered load, fanning points out with
+// par.EachWorker. Each worker builds one Network on its first point and
+// Resets it between points (reseeding with PointSeed), and each point
+// gets its own collector, so workers share nothing mutable; build and
+// injf must therefore be safe for concurrent use, which the stock
+// builders and injector factories are. Results are bit-identical to
+// building fresh per point, and so do not depend on the worker count:
+// Reset provably rewinds to the built state, and every point's traffic
+// depends only on its PointSeed. Parallel workers pull points heaviest
+// first (see dispatchOrder); results stay keyed by input index, so the
+// order cannot change them. Parallel workers carry runtime/pprof labels
+// (sweep_worker, sweep_point, plus whatever opt.Ctx contributes) so CPU
+// profiles attribute samples to individual points; the one-worker path
+// runs inline under the caller's labels. A panicking point is returned
+// as an error naming it.
 func Sweep(build Builder, injf InjectorFactory, loads []float64, opt SweepOptions) (*SweepResult, error) {
-	// Workers <= 0 means one per core. On one schedulable core the
-	// fan-out buys no parallelism, and results are bit-identical for
-	// every worker count (each point's seed depends only on its index),
-	// so the goroutine pool would be pure scheduling overhead plus one
-	// warm network per worker: run inline instead.
-	workers := opt.Workers
-	if procs := runtime.GOMAXPROCS(0); workers <= 0 || procs == 1 {
-		workers = procs
-	}
-	workers = max(1, min(workers, len(loads)))
-
 	rs := make([]pointResult, len(loads))
-	errs := make([]error, len(loads))
 	if opt.Progress != nil {
 		opt.Progress.AddTotal(len(loads))
 	}
-	run := func(w *workerNet, i int) { rs[i], errs[i] = runPoint(w, build, injf, i, loads[i], &opt) }
-
-	if workers == 1 {
-		// Serial fast path: run inline on the calling goroutine, with no
-		// label scope of its own, so points inherit the caller's pprof
-		// labels (e.g. the expt/worker/point labels of a Pool cell this
-		// sweep nests inside) and profiles show no scheduling detour.
-		var wn workerNet
-		for i := range loads {
-			run(&wn, i)
-		}
-	} else {
-		parent := opt.Ctx
-		if parent == nil {
-			parent = context.Background()
-		}
-		order := dispatchOrder(loads)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				pprof.Do(parent,
-					pprof.Labels("sweep_worker", strconv.Itoa(worker)),
-					func(ctx context.Context) {
-						var wn workerNet
-						for {
-							k := int(next.Add(1)) - 1
-							if k >= len(order) {
-								return
-							}
-							i := order[k]
-							pprof.Do(ctx,
-								pprof.Labels("sweep_point", strconv.Itoa(i)),
-								func(context.Context) { run(&wn, i) })
-						}
-					})
-			}(w)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.EachWorker(len(loads), par.Options{
+		Name:        "sim.Sweep",
+		Workers:     opt.Workers,
+		Order:       dispatchOrder(loads),
+		Ctx:         opt.Ctx,
+		WorkerLabel: "sweep_worker",
+		ItemLabel:   "sweep_point",
+	}, func(w *workerNet, i int) (err error) {
+		rs[i], err = runPoint(w, build, injf, i, loads[i], &opt)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return reducePoints(rs, &opt)
 }
