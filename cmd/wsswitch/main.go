@@ -12,8 +12,9 @@
 //	                           sim stats + per-router/per-channel probes)
 //	wsswitch -v <id>           structured progress logs on stderr
 //	wsswitch -workers N <id>   cap the worker goroutines experiments fan
-//	                           sweep points across (0 = one per CPU,
-//	                           1 = serial; results are identical)
+//	                           sweep points and grid cells across (0 = one
+//	                           per CPU, 1 = serial; results are identical;
+//	                           placement restarts always use GOMAXPROCS)
 //	wsswitch -cpuprofile f ... write a pprof CPU profile of the run
 //	                           (samples carry experiment/worker/point
 //	                           pprof labels)
@@ -103,7 +104,7 @@ func run() int {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	jsonOut := flag.Bool("json", false, "emit results as JSON (tables, raw stats, probe snapshots)")
 	verbose := flag.Bool("v", false, "structured progress logs (slog) on stderr")
-	workers := flag.Int("workers", 0, "worker goroutines for parallel sweeps (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("workers", 0, "worker goroutines for parallel sweeps and experiment grids (0 = GOMAXPROCS, 1 = serial; placement restarts always use GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write heap profile to `file`")
 	replay := flag.String("replay", "", "re-run a differential-test `spec` (as printed by a failing equivalence test or fuzz run) through both simulators and report")
@@ -335,7 +336,7 @@ examples:
   wsswitch -quick all               # the full suite at reduced scale
   wsswitch -json fig22 > fig22.json # tables + stats + probe counters
   wsswitch -v -quick fig23          # watch simulation progress
-  wsswitch -workers 1 fig22         # force serial execution (same results)
+  wsswitch -workers 1 fig22         # serial sweeps (same results)
   wsswitch -cpuprofile cpu.out fig24
   wsswitch -replay "family=clos size=0 pattern=uniform link=1 vcs=2 buf=8 pkt=2 rci=1 rco=1 pipe=1 term=1 warmup=50 measure=150 drain=0 seed=42 load=0.25"
   wsswitch -replay "..." -trace out.json   # packet-lifecycle trace for Perfetto

@@ -245,13 +245,16 @@ var placer = (*Design).placeAndEscape
 // monotone in the restart budget. Escape-capacity shortfalls are recorded
 // as external-constraint failures on d.
 func (d *Design) placeAndEscape(p Params, equiv *topo.Topology, identityPlacement bool) (*mapping.Placement, error) {
+	periphery := p.ExternalIO.Kind == tech.PeripheryIO
+	escapeCaps := func() []int {
+		escapeLanes := int(p.ExternalIO.MaxBandwidthGbps(p.Substrate.SideMM) / p.Chiplet.PortGbps)
+		return mapping.SpreadEscape(escapeLanes, mapping.BoundaryCount(d.GridRows, d.GridCols), d.EdgeCapacity)
+	}
 	escape := func(pl *mapping.Placement) error {
-		if p.ExternalIO.Kind != tech.PeripheryIO {
+		if !periphery {
 			return nil
 		}
-		escapeLanes := int(p.ExternalIO.MaxBandwidthGbps(p.Substrate.SideMM) / p.Chiplet.PortGbps)
-		caps := mapping.SpreadEscape(escapeLanes, len(pl.BoundaryCells()), d.EdgeCapacity)
-		return pl.RouteExternal(caps)
+		return pl.RouteExternal(escapeCaps())
 	}
 	if identityPlacement {
 		positions := make([]int, len(equiv.Nodes))
@@ -270,12 +273,18 @@ func (d *Design) placeAndEscape(p Params, equiv *topo.Topology, identityPlacemen
 	// Restart i starts from its own seed, Seed+i, so the restarts run in
 	// parallel and the winner, picked below in index order by the same
 	// strict rule a serial loop applies, does not depend on the worker
-	// count.
+	// count. Escape capacity depends on totals only: when it falls short,
+	// every restart fails escape, so only restart 0, whose placement and
+	// reason are kept, runs.
 	type restart struct {
 		pl          *mapping.Placement
 		err, escErr error
 	}
-	rs := make([]restart, p.restarts())
+	n := p.restarts()
+	if periphery && mapping.CheckEscape(equiv, escapeCaps()) != nil {
+		n = 1
+	}
+	rs := make([]restart, n)
 	err := par.Each(len(rs), par.Options{Name: "core.placeAndEscape"}, func(i int) error {
 		r := &rs[i]
 		r.pl, r.err = mapping.New(equiv, d.GridRows, d.GridCols, rand.New(rand.NewSource(p.Seed+int64(i))))
@@ -294,8 +303,6 @@ func (d *Design) placeAndEscape(p Params, equiv *topo.Topology, identityPlacemen
 			return nil, r.err
 		}
 		if r.escErr != nil {
-			// Escape capacity is placement-independent (totals only), so
-			// one failure fails them all.
 			d.fail("external: " + r.escErr.Error())
 			return r.pl, nil
 		}

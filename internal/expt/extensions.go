@@ -62,38 +62,64 @@ func extYield(o Options) (*Table, error) {
 
 // extOptimizers is the mapping-optimizer ablation: the paper's pairwise
 // exchange (Algorithm 1) vs simulated annealing at comparable budgets.
+// Both searches are timed in process CPU time, because Best runs its
+// restarts in parallel and BestAnnealed serially: wall-clock would
+// credit pairwise exchange with the host's core count.
 func extOptimizers(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "ext-optimizers",
 		Title:   "Placement optimizer ablation: pairwise exchange (Algorithm 1) vs simulated annealing",
-		Headers: []string{"Clos ports", "pairwise max load", "pairwise ms", "annealed max load", "annealed ms"},
+		Headers: []string{"Clos ports", "pairwise max load", "pairwise CPU ms", "annealed max load", "annealed CPU ms"},
+	}
+	// elapsed times f in CPU time, or in wall-clock time where the
+	// platform reports no CPU time.
+	wall := false
+	elapsed := func(f func() error) (int64, error) {
+		c0, ok := processCPU()
+		t0 := time.Now()
+		err := f()
+		if c1, ok1 := processCPU(); ok && ok1 {
+			return (c1 - c0).Milliseconds(), err
+		}
+		wall = true
+		return time.Since(t0).Milliseconds(), err
 	}
 	chip := ssc.MustTH5(200)
 	sizes := []int{2048, 4096}
 	if !o.Quick {
 		sizes = append(sizes, 8192)
 	}
+	asGood := 0
 	for _, ports := range sizes {
 		cl, err := topo.HomogeneousClos(ports, chip)
 		if err != nil {
 			return nil, err
 		}
 		rows, cols := topo.NearSquare(len(cl.Nodes))
-		start := time.Now()
-		greedy, err := mapping.Best(cl, rows, cols, o.restarts(), o.seed())
+		var greedy, annealed *mapping.Placement
+		gms, err := elapsed(func() (err error) {
+			greedy, err = mapping.Best(cl, rows, cols, o.restarts(), o.seed())
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		gms := time.Since(start).Milliseconds()
-		start = time.Now()
-		annealed, err := mapping.BestAnnealed(cl, rows, cols, o.restarts(), 80, o.seed())
+		ams, err := elapsed(func() (err error) {
+			annealed, err = mapping.BestAnnealed(cl, rows, cols, o.restarts(), 80, o.seed())
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		ams := time.Since(start).Milliseconds()
+		if greedy.MaxLoad() <= annealed.MaxLoad() {
+			asGood++
+		}
 		t.AddRow(ports, greedy.MaxLoad(), gms, annealed.MaxLoad(), ams)
 	}
-	t.Notes = append(t.Notes, "both land in the same quality band; pairwise exchange converges faster on this cost surface, supporting the paper's choice")
+	t.Notes = append(t.Notes, fmt.Sprintf("pairwise exchange matches or beats annealing's max load at %d of %d sizes; the CPU ms columns compare their cost at equal restarts", asGood, len(sizes)))
+	if wall {
+		t.Notes = append(t.Notes, "this platform reports no process CPU time: the ms columns are wall-clock, and pairwise exchange runs its restarts in parallel")
+	}
 	return t, nil
 }
 

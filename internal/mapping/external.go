@@ -3,6 +3,8 @@ package mapping
 import (
 	"fmt"
 	"sort"
+
+	"waferswitch/internal/topo"
 )
 
 // SpreadEscape distributes a total external escape budget (in lanes)
@@ -52,19 +54,8 @@ func (p *Placement) RouteExternal(capacities []int) error {
 	if len(capacities) != len(boundary) {
 		return fmt.Errorf("mapping: %d capacities for %d boundary cells", len(capacities), len(boundary))
 	}
-	totalNeed := 0
-	for _, n := range p.Topo.Nodes {
-		totalNeed += n.ExternalPorts
-	}
-	totalCap := 0
-	for _, c := range capacities {
-		if c < 0 {
-			return fmt.Errorf("mapping: negative escape capacity %d", c)
-		}
-		totalCap += c
-	}
-	if totalNeed > totalCap {
-		return fmt.Errorf("mapping: %d external lanes exceed boundary escape capacity %d", totalNeed, totalCap)
+	if err := CheckEscape(p.Topo, capacities); err != nil {
+		return err
 	}
 	remaining := make(map[int]int, len(boundary))
 	for i, b := range boundary {
@@ -103,6 +94,41 @@ func (p *Placement) RouteExternal(capacities []int) error {
 	p.externalLaneHops = p.totalLaneHops - hopsBefore
 	p.externalRouted = true
 	return nil
+}
+
+// CheckEscape returns the error RouteExternal gives every placement of
+// t whatever its positions: a negative capacity, or more external lanes
+// than the capacities total. When it returns nil, RouteExternal with
+// capacities for every boundary cell succeeds, because a node's lanes
+// may escape through any boundary cell with capacity left.
+func CheckEscape(t *topo.Topology, capacities []int) error {
+	totalNeed := 0
+	for _, n := range t.Nodes {
+		totalNeed += n.ExternalPorts
+	}
+	totalCap := 0
+	for _, c := range capacities {
+		if c < 0 {
+			return fmt.Errorf("mapping: negative escape capacity %d", c)
+		}
+		totalCap += c
+	}
+	if totalNeed > totalCap {
+		return fmt.Errorf("mapping: %d external lanes exceed boundary escape capacity %d", totalNeed, totalCap)
+	}
+	return nil
+}
+
+// BoundaryCount is the number of perimeter cells of a rows x cols grid,
+// len(BoundaryCells()) of any placement on it.
+func BoundaryCount(rows, cols int) int {
+	if rows <= 0 || cols <= 0 {
+		return 0
+	}
+	if rows <= 2 || cols <= 2 {
+		return rows * cols
+	}
+	return 2*(rows+cols) - 4
 }
 
 // BoundaryCells returns the cells on the grid perimeter in row-major

@@ -256,6 +256,33 @@ func TestRouteExternalCapacityExceeded(t *testing.T) {
 	}
 }
 
+// BoundaryCount matches BoundaryCells on every grid shape, and
+// CheckEscape fails exactly where RouteExternal does.
+func TestBoundaryCountAndCheckEscape(t *testing.T) {
+	c := smallClos(t, 2048)
+	n := len(c.Nodes)
+	for _, g := range [][2]int{{1, n}, {2, (n + 1) / 2}, {3, (n + 2) / 3}, {5, 5}, {4, 7}, {n, 1}} {
+		p, err := New(c, g[0], g[1], rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb := len(p.BoundaryCells())
+		if got := BoundaryCount(g[0], g[1]); got != nb {
+			t.Errorf("BoundaryCount(%d, %d) = %d, want %d", g[0], g[1], got, nb)
+		}
+		for _, total := range []int{1600, 2047, 2048, 4096} {
+			caps := SpreadEscape(total, nb, 1000)
+			q, err := New(c, g[0], g[1], rand.New(rand.NewSource(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if check, route := CheckEscape(c, caps), q.RouteExternal(caps); (check == nil) != (route == nil) {
+				t.Errorf("%dx%d grid, %d lanes: CheckEscape %v, RouteExternal %v", g[0], g[1], total, check, route)
+			}
+		}
+	}
+}
+
 func TestSpreadEscape(t *testing.T) {
 	caps := SpreadEscape(10, 4, 100)
 	want := []int{3, 3, 2, 2}

@@ -6,16 +6,15 @@
 // core and mapping their placement restarts.
 //
 // Fan-outs nest (a Pool cell runs a sweep or a restart search), so the
-// goroutines they start draw on one process-wide budget: at most
-// GOMAXPROCS-1 helpers run at once, beside the goroutine that started
-// the outermost fan-out. The goroutine that calls Each always works on
-// its own items; helpers join whichever open fan-out was started most
-// recently, and a helper moves on to another fan-out's queued items
-// rather than exiting. A caller whose own items are all claimed works,
-// while its helpers finish, on any other fan-out's queued items. With
-// one top-level caller, no more than GOMAXPROCS items therefore run at
-// once however deeply fan-outs nest, and no core idles while items are
-// queued.
+// helper goroutines they start hold slots of one process-wide budget of
+// GOMAXPROCS-1. The goroutine that calls Each always works on its own
+// items and holds no slot. Before each item it claims, a worker starts
+// another helper if the budget has a free slot and items are still
+// queued behind the one it is about to run, so a fan-out grows as other
+// fan-outs give slots back. A caller whose items are all claimed lends
+// a slot to the budget while it waits for its helpers, and takes it back
+// before it returns. With one top-level caller, no more than GOMAXPROCS
+// goroutines therefore run items at once however deeply fan-outs nest.
 package par
 
 import (
@@ -47,11 +46,12 @@ type Options struct {
 	// context.Background(). Labels (key, value pairs) label the whole
 	// fan-out, inline or not. WorkerLabel and ItemLabel, when set, are
 	// the keys under which parallel workers carry their worker number
-	// and current item index. With none of the three, the calling
-	// goroutine runs its items under its own labels and helpers run
-	// theirs under Ctx's. Otherwise the calling goroutine, like any
-	// goroutine that ran items under labels, leaves with Ctx's labels
-	// set, as pprof.Do does.
+	// and current item index. With none of the three, Ctx is unused and
+	// every item runs under the labels of the goroutine that called Each:
+	// helpers are started by the fan-out's workers and inherit their
+	// labels.
+	// Otherwise the calling goroutine leaves with Ctx's labels set, as
+	// pprof.Do does.
 	Ctx                    context.Context
 	Labels                 []string
 	WorkerLabel, ItemLabel string
@@ -101,12 +101,39 @@ func EachWorker[W any](n int, opt Options, fn func(w *W, i int) error) error {
 			serial()
 		}
 	} else {
-		j := &job{n: n, maxWorkers: workers}
-		j.work = func(worker int) {
+		var (
+			next, started atomic.Int64 // items claimed, workers started
+			wg            sync.WaitGroup
+			work          func(worker int)
+		)
+		started.Store(1) // the caller
+		// grow starts helpers while the fan-out has room for them, items
+		// are queued behind the one the calling worker is about to claim,
+		// and the budget has a free slot.
+		grow := func() {
+			for {
+				s := started.Load()
+				if s >= int64(workers) || next.Load() >= int64(n-1) || !tryAcquire() {
+					return
+				}
+				if !started.CompareAndSwap(s, s+1) {
+					release()
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer release()
+					work(int(s))
+				}()
+			}
+		}
+		work = func(worker int) {
 			claim := func(ctx context.Context) {
 				var w W
 				for {
-					k := int(j.claimed.Add(1)) - 1
+					grow()
+					k := int(next.Add(1)) - 1
 					if k >= n {
 						return
 					}
@@ -120,17 +147,21 @@ func EachWorker[W any](n int, opt Options, fn func(w *W, i int) error) error {
 					} else {
 						errs[i] = call(&opt, &w, worker, i, fn)
 					}
-					j.finish()
 				}
 			}
 			labels := opt.workerLabels(worker)
-			if worker == 0 && len(labels) == 0 && opt.ItemLabel == "" {
+			if len(labels) == 0 && opt.ItemLabel == "" {
 				claim(nil)
 				return
 			}
 			pprof.Do(opt.context(), pprof.Labels(labels...), claim)
 		}
-		run(j)
+		work(0)
+		if started.Load() > 1 {
+			lend()
+			wg.Wait()
+			reclaim()
+		}
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -175,110 +206,50 @@ func call[W any](o *Options, w *W, worker, i int, fn func(*W, int) error) (err e
 	return fn(w, i)
 }
 
-// job is one parallel fan-out open in the scheduler.
-type job struct {
-	n, maxWorkers int
-	claimed       atomic.Int64 // items handed out so far
-	left          atomic.Int64 // items not yet finished
-	// work claims and runs items as the given worker number until none
-	// is left.
-	work func(worker int)
-
-	// Guarded by sched.mu.
-	workers int  // worker numbers handed out
-	done    bool // every item finished
+// budget is the process-wide helper budget: busy counts the slots held
+// by running helpers, less those lent by callers waiting for theirs.
+var budget struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	busy int
 }
 
-// sched is the process-wide scheduler state: the open fan-outs, oldest
-// first, and the number of running helpers.
-var sched struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	jobs    []*job
-	helpers int
+func init() { budget.cond.L = &budget.mu }
+
+// limit is the number of helper slots: GOMAXPROCS-1, beside the
+// top-level caller.
+func limit() int { return runtime.GOMAXPROCS(0) - 1 }
+
+// tryAcquire takes a helper slot if one is free.
+func tryAcquire() bool {
+	budget.mu.Lock()
+	defer budget.mu.Unlock()
+	if budget.busy >= limit() {
+		return false
+	}
+	budget.busy++
+	return true
 }
 
-func init() { sched.cond.L = &sched.mu }
-
-// run registers j, starts the helpers the budget allows, works on j as
-// worker 0 and returns once every item of j has finished.
-func run(j *job) {
-	j.left.Store(int64(j.n))
-	sched.mu.Lock()
-	j.workers = 1
-	sched.jobs = append(sched.jobs, j)
-	spawn := max(0, min(helperLimit()-sched.helpers, j.maxWorkers-1))
-	sched.helpers += spawn
-	// Callers waiting on their own fan-outs may take items of this one.
-	sched.cond.Broadcast()
-	sched.mu.Unlock()
-	for range spawn {
-		go helper()
-	}
-
-	j.work(0)
-
-	sched.mu.Lock()
-	for !j.done {
-		if s, w := pick(); s != nil {
-			sched.mu.Unlock()
-			s.work(w)
-			sched.mu.Lock()
-			continue
-		}
-		sched.cond.Wait()
-	}
-	for k, o := range sched.jobs {
-		if o == j {
-			sched.jobs = append(sched.jobs[:k], sched.jobs[k+1:]...)
-			break
-		}
-	}
-	sched.mu.Unlock()
+// release gives a helper slot back.
+func release() {
+	budget.mu.Lock()
+	budget.busy--
+	budget.cond.Broadcast()
+	budget.mu.Unlock()
 }
 
-// finish records one finished item and wakes the fan-out's caller after
-// the last.
-func (j *job) finish() {
-	if j.left.Add(-1) == 0 {
-		sched.mu.Lock()
-		j.done = true
-		sched.cond.Broadcast()
-		sched.mu.Unlock()
-	}
-}
+// lend frees a slot for the time a caller waits for its helpers, so
+// that another fan-out can run on the core the caller leaves idle.
+func lend() { release() }
 
-// helperLimit is the process-wide helper budget.
-func helperLimit() int { return runtime.GOMAXPROCS(0) - 1 }
-
-// pick returns the most recently registered fan-out with items left to
-// claim and room for another worker, and the worker number it handed out
-// there; nil if there is none. Newest first finishes nested fan-outs
-// before their callers' siblings start. sched.mu must be held.
-func pick() (*job, int) {
-	for k := len(sched.jobs) - 1; k >= 0; k-- {
-		j := sched.jobs[k]
-		if j.workers < j.maxWorkers && j.claimed.Load() < int64(j.n) {
-			j.workers++
-			return j, j.workers - 1
-		}
+// reclaim takes the lent slot back, waiting until one is free, so that
+// the caller does not resume beside a full budget of helpers.
+func reclaim() {
+	budget.mu.Lock()
+	for budget.busy >= limit() {
+		budget.cond.Wait()
 	}
-	return nil, 0
-}
-
-// helper works on open fan-outs, newest first, until none has items
-// left to claim or the budget shrank below the running helpers.
-func helper() {
-	sched.mu.Lock()
-	for sched.helpers <= helperLimit() {
-		j, w := pick()
-		if j == nil {
-			break
-		}
-		sched.mu.Unlock()
-		j.work(w)
-		sched.mu.Lock()
-	}
-	sched.helpers--
-	sched.mu.Unlock()
+	budget.busy++
+	budget.mu.Unlock()
 }

@@ -150,14 +150,27 @@ func TestNestedFanOutsStayWithinBudget(t *testing.T) {
 		if h := high.Load(); h > int64(procs) {
 			t.Errorf("procs=%d: %d leaf items ran at once", procs, h)
 		}
+		checkBudgetFree(t)
 	})
 }
 
-// A caller whose own items are all claimed works on other fan-outs'
-// items while it waits: while the caller runs the outer
-// fan-out's first item, the one helper takes the second, which nests a
-// fan-out the budget gives no helper of its own; both goroutines still
-// end up working on it.
+// checkBudgetFree fails if a finished fan-out left helper slots taken
+// or lent.
+func checkBudgetFree(t *testing.T) {
+	t.Helper()
+	budget.mu.Lock()
+	defer budget.mu.Unlock()
+	if budget.busy != 0 {
+		t.Errorf("budget holds %d slots after every fan-out returned", budget.busy)
+	}
+}
+
+// A caller whose own items are all claimed lends its slot while it
+// waits: while the caller runs the outer fan-out's first item, the one
+// helper takes the second, which nests a fan-out the budget gives no
+// helper of its own. Once the caller finishes and waits, the nested
+// fan-out starts a helper on the lent slot, so two goroutines end up
+// working on it.
 func TestWaitingCallerHelps(t *testing.T) {
 	withProcs(t, []int{2}, func(t *testing.T, _ int) {
 		var mu sync.Mutex
@@ -181,5 +194,6 @@ func TestWaitingCallerHelps(t *testing.T) {
 		if len(workers) != 2 {
 			t.Errorf("nested fan-out ran on %d workers, want 2", len(workers))
 		}
+		checkBudgetFree(t)
 	})
 }
