@@ -11,7 +11,7 @@ GO ?= go
 # only go up.
 COVER_FLOOR ?= 74.0
 
-.PHONY: all build test check vet fmt race bench bench-smoke bench-json cover fuzz-smoke staticcheck
+.PHONY: all build test check vet fmt race bench bench-smoke bench-json bench-digests perfbench-test cover fuzz-smoke staticcheck
 
 all: build test
 
@@ -22,10 +22,12 @@ test: build
 	$(GO) test ./...
 
 # check runs the static gates, the race detector over the concurrent
-# packages, the differential-fuzz smoke runs, the coverage floor, and a
+# packages, the differential-fuzz smoke runs, the coverage floor, a
 # one-iteration pass over every guard benchmark so the benchmarks
-# themselves cannot rot uncompiled or crash unnoticed between re-pins.
-check: vet fmt staticcheck race fuzz-smoke cover bench-smoke
+# themselves cannot rot uncompiled or crash unnoticed between re-pins,
+# the perfbench module's tests, and one pass of every perfbench
+# workload against its pinned result digests.
+check: vet fmt staticcheck race fuzz-smoke cover bench-smoke perfbench-test bench-digests
 
 # perfbench is a separate module (it pins the repo through a replace
 # directive), so `go vet ./...` at the root never compiles it; vetting it
@@ -97,6 +99,27 @@ bench:
 # enough to sit inside `make check`.
 bench-smoke:
 	$(GO) test -run NONE -short -bench . -benchtime 1x ./...
+
+# perfbench is a separate module, so `go test ./...` at the root never
+# runs its tests (catalogue vs BENCHMARK.json, pinned digests, command
+# line).
+perfbench-test:
+	$(GO) -C perfbench test ./...
+
+# bench-digests runs every workload BENCHMARK.json lists (read with jq)
+# once and fails unless the run exits 0 and reports "correct":true: each
+# operation's result digest must match perfbench/digests.json, so a
+# change to the simulator kernel cannot move a pinned result unnoticed.
+bench-digests:
+	@ws=$$(jq -r '.workloads[].name' BENCHMARK.json) && [ -n "$$ws" ] || \
+		{ echo "bench-digests: cannot read the workloads from BENCHMARK.json"; exit 1; }; \
+	for w in $$ws; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds 0) || \
+			{ echo "bench-digests: $$w failed"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; *) echo "bench-digests: $$w is not correct"; exit 1;; esac; \
+	done
 
 # bench-json snapshots the guard benchmarks (simulator inner loop with
 # the timeline/tracer/attribution on and off, the saturated/knee

@@ -195,9 +195,8 @@ func TestAbortDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDefaultRunJSONUnchanged pins the output-compatibility contract:
-// a default run (no detector, no convergence rule) must serialize with
-// no trace of the new fields, so pre-existing pinned JSON stays
-// byte-identical.
+// a default run (no detector) must serialize with no trace of the new
+// fields, so pre-existing pinned JSON stays byte-identical.
 func TestDefaultRunJSONUnchanged(t *testing.T) {
 	fam := abortFamilies(t)[1]
 	build := func() (*Network, error) { return Build(fam.top, ConstantLatency(1), fam.cfg) }

@@ -170,7 +170,8 @@ func (n *Network) atCreditStall(gv int32, r, out int) {
 	at.a.Routers[n.channels[ch].dstRouter].Blamed++
 	at.a.ChanBlame[ch]++
 	if n.vcAttribHead[gv] {
-		at.pkts[n.frontVC(gv).pkt].credHop++
+		in := gv / int32(n.V)
+		at.pkts[n.frontVC(in, gv).pkt].credHop++
 	}
 }
 
@@ -217,7 +218,7 @@ func (n *Network) atComplete(pkt int32, pi *packetInfo, lat float64, r int) {
 				n.now, total, pkt, lat)
 		}
 	}
-	if !pi.measured {
+	if !n.measured(pi.born) {
 		return
 	}
 	a := at.a
@@ -285,7 +286,7 @@ func (n *Network) AnalyzeBackpressure() *obs.BackpressureReport {
 		for p := 0; p < int(n.numPorts[r]); p++ {
 			for v := 0; v < n.V; v++ {
 				gv := int32((base+p)*n.V + v)
-				if n.vcStatus[gv] != vcActive || n.vcHL[gv]&0xffff == 0 {
+				if n.vcStatus[gv] != vcActive || n.vcQ[gv].n == 0 {
 					continue
 				}
 				o := base + int(n.vcOutPort[gv])

@@ -21,12 +21,12 @@ func ConstantLatency(cycles int) LinkLatency {
 	return func(a, b int) int { return cycles }
 }
 
-// pendingPkt is a generated but not yet fully injected packet.
+// pendingPkt is a generated but not yet fully injected packet. Whether
+// it is measured follows from born (see Network.measured).
 type pendingPkt struct {
-	dst      int32
-	size     int32
-	born     int64
-	measured bool
+	dst  int32
+	size int32
+	born int64
 }
 
 // Network is a simulable switch fabric instantiated from a logical
@@ -38,7 +38,7 @@ type Network struct {
 	V     int   // VCs per input port
 	maxP  int   // ports per router (padded)
 	T     int   // terminals
-	bufPP int32 // cfg.BufPerPort, hot-path copy (per-VC ring window)
+	bufPP int32 // cfg.BufPerPort, hot-path copy (slots per port pool)
 
 	numPorts []int32
 	rcOfIn   []int32 // per input port: RC delay (ingress vs non-ingress)
@@ -51,22 +51,30 @@ type Network struct {
 	npIdx  []int32
 	npRot  []int32
 
+	// Input buffers: each input port in = r*maxP+p owns one pool of
+	// BufPerPort slots, slab[in*BufPerPort : (in+1)*BufPerPort], shared
+	// by all of its VCs (a dynamically allocated multi-queue buffer).
+	// A slot holds one packed flit (see packFlit); next links the slot
+	// to the one after it, either in a VC's FIFO chain or in the port's
+	// free list, whose head is inState[in].free. Slot indices are uint16
+	// and local to the port (BufPerPort is validated to fit); a free
+	// list ends at an index >= BufPerPort. Credit-based flow control
+	// bounds a port's buffered flits by BufPerPort, so the free list is
+	// never empty when a flit arrives and the steady-state loop never
+	// allocates queue memory. Storage is BufPerPort slots per port, not
+	// per VC.
+	slab []uint32
+	next []uint16
+
 	// Per-input-VC pipeline state, structure-of-arrays: every array is
-	// indexed by the global VC index gv = (r*maxP+p)*V + v. Each VC's
-	// flit queue is a ring of BufPerPort packed-flit slots (see packFlit)
-	// inside the shared slab (window gv*BufPerPort), tracked by vcHL —
-	// the ring position of the head flit in the high 16 bits and the
-	// queue length in the low 16, one word so a push or pop touches a
-	// single cache line of queue state (BufPerPort is validated to fit).
-	// Credit-based flow control bounds a port's buffered flits by
-	// BufPerPort, so no ring can overflow its window and the
-	// steady-state loop never allocates queue memory.
-	slab      []uint32
-	vcHL      []uint32
+	// indexed by the global VC index gv = (r*maxP+p)*V + v. vcQ is the
+	// VC's FIFO chain through its port's pool. vcOutPort and vcOutVC fit
+	// a byte because routers have at most 64 ports and 64 VCs.
+	vcQ       []vcQueue
 	vcStatus  []uint8
 	vcRCLeft  []int32
-	vcOutPort []int32
-	vcOutVC   []int32
+	vcOutPort []uint8
+	vcOutVC   []uint8
 	// vcTraceHead marks that the next flit forwarded from a VC is the
 	// head of a freshly VC-allocated packet; only the tracer sets it.
 	// vcAttribHead is the attribution layer's equivalent mark: set at VA
@@ -86,8 +94,11 @@ type Network struct {
 	inState []portState
 	// portPipeM[r] summarizes the pipe masks at router level: bit p set
 	// when input port p of router r has a non-empty pipe mask. RC/VA
-	// scans set bits instead of loading every port's mask.
+	// scans set bits instead of loading every port's mask. portBusyM[r]
+	// does the same for the busy masks, so switch allocation visits only
+	// ports holding flits.
 	portPipeM []uint64
+	portBusyM []uint64
 
 	feedCh []int32 // channel feeding input port, -1 if terminal/unused
 
@@ -197,16 +208,14 @@ type Network struct {
 
 	now int64
 
-	// Statistics accumulators (managed by run.go).
+	// Statistics accumulators (managed by run.go). The measurement
+	// window [measStart, measEnd) is fixed for the whole run.
 	measStart, measEnd int64
-	latencySum         float64
 	// latSumR accumulates measured packet latencies per ejecting router.
 	// Each router completes its packets in cycle order regardless of how
 	// routers are interleaved, so the ascending-router fold of latSumR is
 	// the canonical float latency sum — identical to the reference
-	// simulator's — installed into the final Stats and histogram
-	// (latencySum stays maintained in completion order for the
-	// convergence batcher).
+	// simulator's — installed into the final Stats and histogram.
 	latSumR      []float64
 	latHist      obs.Histogram // per measured packet, for percentiles; fixed memory
 	completed    int
@@ -286,7 +295,8 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 	}
 	T := t.ExternalPorts()
 
-	nVC := R * maxP * cfg.NumVCs
+	nIn := R * maxP
+	nVC := nIn * cfg.NumVCs
 	n := &Network{
 		cfg:          cfg,
 		R:            R,
@@ -295,17 +305,19 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		T:            T,
 		bufPP:        int32(cfg.BufPerPort),
 		numPorts:     numPorts,
-		rcOfIn:       make([]int32, R*maxP),
-		slab:         make([]uint32, nVC*cfg.BufPerPort),
-		vcHL:         make([]uint32, nVC),
+		rcOfIn:       make([]int32, nIn),
+		slab:         make([]uint32, nIn*cfg.BufPerPort),
+		next:         make([]uint16, nIn*cfg.BufPerPort),
+		vcQ:          make([]vcQueue, nVC),
 		vcStatus:     make([]uint8, nVC),
 		vcRCLeft:     make([]int32, nVC),
-		vcOutPort:    make([]int32, nVC),
-		vcOutVC:      make([]int32, nVC),
+		vcOutPort:    make([]uint8, nVC),
+		vcOutVC:      make([]uint8, nVC),
 		vcTraceHead:  make([]bool, nVC),
 		vcAttribHead: make([]bool, nVC),
-		inState:      make([]portState, R*maxP),
+		inState:      make([]portState, nIn),
 		portPipeM:    make([]uint64, R),
+		portBusyM:    make([]uint64, R),
 		routerOcc:    make([]int32, R),
 		feedCh:       make([]int32, R*maxP),
 		outCredits:   make([]int32, R*maxP),
@@ -319,6 +331,7 @@ func Build(t *topo.Topology, lat LinkLatency, cfg Config) (*Network, error) {
 		logger:       cfg.Logger,
 	}
 	n.initTermRng(cfg.Seed)
+	n.initFreeLists()
 	for i := range n.feedCh {
 		n.feedCh[i] = -1
 	}
@@ -527,6 +540,24 @@ func (n *Network) initTermRng(seed int64) {
 	}
 	for t := range n.termSrc {
 		n.termSrc[t] = splitmix64{x: termRNGState(seed, t)}
+	}
+}
+
+// initFreeLists puts every slot of every port's pool on the port's free
+// list in ascending slot order. Each list starts at slot 0, the zero
+// value of inState[in].free. Every port's links are the same, so the
+// first port's are written and then copied in doubling blocks (Reset
+// calls this on every sweep point).
+func (n *Network) initFreeLists() {
+	B := int(n.bufPP)
+	if len(n.next) == 0 {
+		return // no ports
+	}
+	for s := 0; s < B; s++ {
+		n.next[s] = uint16(s + 1)
+	}
+	for k := B; k < len(n.next); k *= 2 {
+		copy(n.next[k:], n.next[:k])
 	}
 }
 

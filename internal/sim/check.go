@@ -11,9 +11,10 @@ import (
 // against deadlock.
 type CheckOptions struct {
 	// Every is the checking cadence in cycles (default 1). The structural
-	// scans (conservation, credits, VC interleaving) cost O(network) per
-	// check; raising Every amortizes them on large fabrics. Event-driven
-	// checks (packet loss/duplication, progress tracking) always run.
+	// scans (conservation, credits, buffer pools and VC interleaving)
+	// cost O(network) per check; raising Every amortizes them on large
+	// fabrics. Event-driven checks (packet loss/duplication, progress
+	// tracking) always run.
 	Every int
 	// Watchdog is the number of cycles the network may hold buffered
 	// flits without forwarding, ejecting or injecting a single flit
@@ -52,6 +53,9 @@ type checker struct {
 	live    []bool
 	ejected []int32
 
+	// seen is checkBuffers' per-port scratch: one mark per buffer slot.
+	seen []bool
+
 	violations []string
 	dropped    int // violations beyond MaxViolations
 }
@@ -65,6 +69,10 @@ type checker struct {
 //   - credit conservation: for every channel, upstream credits + flits
 //     on the ring + downstream buffered flits + credits in flight ==
 //     BufPerPort;
+//   - buffer pools: every input port's free list and VC chains together
+//     hold each of its BufPerPort slots exactly once, every chain of
+//     the stored length ends at the stored tail, and each router's
+//     busy-port mask is exactly its ports with a non-empty VC mask;
 //   - per-VC packet integrity: flits of distinct packets never
 //     interleave inside an input VC FIFO (tail before next head);
 //   - no packet loss or duplication: every packet-table entry ejects
@@ -90,7 +98,7 @@ func (n *Network) Check(opt CheckOptions) error {
 	if opt.MaxViolations <= 0 {
 		opt.MaxViolations = defaultMaxViolations
 	}
-	n.chk = &checker{opt: opt, lastProgress: n.now}
+	n.chk = &checker{opt: opt, lastProgress: n.now, seen: make([]bool, n.bufPP)}
 	return nil
 }
 
@@ -177,7 +185,7 @@ func (c *checker) endCycle(n *Network) {
 	if n.now%int64(c.opt.Every) == 0 {
 		c.checkConservation(n)
 		c.checkCredits(n)
-		c.checkVCIntegrity(n)
+		c.checkBuffers(n)
 	}
 	c.checkProgress(n)
 }
@@ -220,7 +228,7 @@ func (c *checker) checkCredits(n *Network) {
 		in := int32(ch.dstRouter)*int32(n.maxP) + int32(ch.dstPort)
 		var buffered int64
 		for v := int32(0); v < int32(n.V); v++ {
-			buffered += int64(n.vcHL[in*int32(n.V)+v] & 0xffff)
+			buffered += int64(n.vcQ[in*int32(n.V)+v].n)
 		}
 		if got := upstream + onRing + buffered + credInFlight; got != depth {
 			c.violatef("cycle %d: credit conservation broken on channel %d (->r%d.p%d): credits %d + ring %d + buffered %d + cred-in-flight %d = %d, want %d",
@@ -230,34 +238,87 @@ func (c *checker) checkCredits(n *Network) {
 	}
 }
 
-// checkVCIntegrity asserts wormhole packet integrity inside every input
-// VC FIFO: once a packet's head flit occupies a VC, every following flit
-// up to the tail belongs to the same packet (per-VC in-order delivery is
-// then FIFO order by construction).
-func (c *checker) checkVCIntegrity(n *Network) {
-	buf := int32(n.cfg.BufPerPort)
-	for vi := range n.vcHL {
-		ln := int32(n.vcHL[vi] & 0xffff)
-		if ln == 0 {
-			continue
-		}
-		ring := n.slab[int32(vi)*buf : (int32(vi)+1)*buf]
-		pos := int32(n.vcHL[vi] >> 16)
-		inPkt := int32(-1)
-		for i := int32(0); i < ln; i++ {
-			f := unpackFlit(ring[pos])
-			if pos++; pos == buf {
-				pos = 0
+// checkBuffers walks every input port's buffer pool. It asserts the
+// pool's structure: walking each VC chain for its stored length from
+// its head ends at its stored tail, the chains and the free list never
+// share or repeat a slot, and together they hold all BufPerPort slots
+// (a slot in neither has leaked). Along each chain it asserts wormhole
+// packet integrity: once a packet's head flit occupies a VC, every
+// following flit up to the tail belongs to the same packet (per-VC
+// in-order delivery is then FIFO order by construction). Last, it
+// asserts that each router's busy-port mask is the set of its ports
+// with a non-empty VC mask.
+func (c *checker) checkBuffers(n *Network) {
+	B := uint16(n.bufPP)
+	V := n.V
+	for in := range n.inState {
+		clear(c.seen)
+		base := in * int(B)
+		held := 0
+		// take marks slot s as reached; false means it is out of range
+		// or already reached.
+		take := func(s uint16) bool {
+			if s >= B || c.seen[s] {
+				return false
 			}
-			if inPkt >= 0 && f.pkt != inPkt {
-				c.violatef("cycle %d: VC %d interleaves packets %d and %d", n.now, vi, inPkt, f.pkt)
+			c.seen[s] = true
+			held++
+			return true
+		}
+		for v := 0; v < V; v++ {
+			q := n.vcQ[in*V+v]
+			s := q.head
+			inPkt := int32(-1)
+			for i := uint16(0); i < q.n; i++ {
+				if i > 0 {
+					s = n.next[base+int(s)]
+				}
+				if !take(s) {
+					c.violatef("cycle %d: buffer pool of input port %d: VC %d chain reaches slot %d out of range or twice",
+						n.now, in, v, s)
+					return
+				}
+				f := unpackFlit(n.slab[base+int(s)])
+				if inPkt >= 0 && f.pkt != inPkt {
+					c.violatef("cycle %d: VC %d interleaves packets %d and %d", n.now, in*V+v, inPkt, f.pkt)
+					return
+				}
+				if f.last {
+					inPkt = -1
+				} else {
+					inPkt = f.pkt
+				}
+			}
+			if q.n > 0 && s != q.tail {
+				c.violatef("cycle %d: buffer pool of input port %d: VC %d chain of length %d ends at slot %d, not its tail %d",
+					n.now, in, v, q.n, s, q.tail)
 				return
 			}
-			if f.last {
-				inPkt = -1
-			} else {
-				inPkt = f.pkt
+		}
+		for s := n.inState[in].free; s < B; s = n.next[base+int(s)] {
+			if !take(s) {
+				c.violatef("cycle %d: buffer pool of input port %d: free list reaches slot %d twice",
+					n.now, in, s)
+				return
 			}
+		}
+		if held != int(B) {
+			c.violatef("cycle %d: buffer pool of input port %d: free list and VC chains hold %d slots, want %d (slot leak)",
+				n.now, in, held, B)
+			return
+		}
+	}
+	for r := 0; r < n.R; r++ {
+		var m uint64
+		for p := 0; p < n.maxP; p++ {
+			if n.inState[r*n.maxP+p].busy != 0 {
+				m |= uint64(1) << p
+			}
+		}
+		if m != n.portBusyM[r] {
+			c.violatef("cycle %d: router %d busy-port mask %#x, want %#x (ports with non-empty VCs)",
+				n.now, r, n.portBusyM[r], m)
+			return
 		}
 	}
 }
@@ -306,12 +367,12 @@ func (c *checker) deadlockDump(n *Network) string {
 		for p := 0; p < int(n.numPorts[r]); p++ {
 			for v := 0; v < n.V; v++ {
 				gv := int32((base+p)*n.V + v)
-				if n.vcHL[gv]&0xffff == 0 {
+				if n.vcQ[gv].n == 0 {
 					continue
 				}
 				st := n.vcStatus[gv]
 				line := fmt.Sprintf("    port %d vc %d: %d flits, state %s",
-					p, v, n.vcHL[gv]&0xffff, stateName[st])
+					p, v, n.vcQ[gv].n, stateName[st])
 				if st == vcActive || st == vcVCAlloc {
 					line += fmt.Sprintf(", out port %d", n.vcOutPort[gv])
 					if st == vcActive {

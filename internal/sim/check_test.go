@@ -102,9 +102,8 @@ func TestCheckerDetectsFlitLeak(t *testing.T) {
 	// believes it is idle), which is exactly the kind of counter drift
 	// the conservation scan exists to catch.
 	n.pkts = append(n.pkts, packetInfo{dst: 0})
-	if n.pushVC(0, flit{pkt: 0, last: true}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
+	n.pushVC(0, 0, packFlit(flit{pkt: 0, last: true}))
+	n.markBusy(0, 0, 0, 0)
 	n.Run(silentInjector{}, 0.01)
 	err = n.CheckErr()
 	if err == nil {
@@ -168,12 +167,9 @@ func TestCheckerDetectsVCInterleave(t *testing.T) {
 	// are left untouched so the pipeline ignores the queue and only the
 	// integrity scan (which walks every VC unconditionally) sees it.
 	n.pkts = append(n.pkts, packetInfo{}, packetInfo{})
-	if n.pushVC(0, flit{pkt: 0, last: false}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
-	if n.pushVC(0, flit{pkt: 1, last: false}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
+	n.pushVC(0, 0, packFlit(flit{pkt: 0, last: false}))
+	n.markBusy(0, 0, 0, 0)
+	n.pushVC(0, 0, packFlit(flit{pkt: 1, last: false}))
 	n.Run(silentInjector{}, 0.01)
 	err = n.CheckErr()
 	if err == nil {
@@ -181,6 +177,56 @@ func TestCheckerDetectsVCInterleave(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "interleaves") {
 		t.Fatalf("violation does not mention interleaving: %v", err)
+	}
+}
+
+// TestCheckerDetectsSlotLeak: a slot taken off an input port's free
+// list without joining any VC chain must trip the buffer-pool scan,
+// which would otherwise let the port's usable buffer shrink unnoticed.
+func TestCheckerDetectsSlotLeak(t *testing.T) {
+	cl := testClos(t)
+	cfg := testConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles = 5, 10
+	n, err := Build(cl, ConstantLatency(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Check(CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ps := &n.inState[3]
+	ps.free = n.next[3*cfg.BufPerPort+int(ps.free)]
+	n.Run(silentInjector{}, 0.01)
+	err = n.CheckErr()
+	if err == nil {
+		t.Fatal("checker missed a leaked buffer slot")
+	}
+	if !strings.Contains(err.Error(), "buffer pool of input port 3") || !strings.Contains(err.Error(), "slot leak") {
+		t.Fatalf("violation does not name the leaking port: %v", err)
+	}
+}
+
+// TestCheckerDetectsBusyPortDrift: a router-level busy-port bit for a
+// port with no buffered flit must trip the pool scan's mask check.
+func TestCheckerDetectsBusyPortDrift(t *testing.T) {
+	cl := testClos(t)
+	cfg := testConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles = 5, 10
+	n, err := Build(cl, ConstantLatency(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Check(CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	n.portBusyM[1] |= 1 << 2
+	n.Run(silentInjector{}, 0.01)
+	err = n.CheckErr()
+	if err == nil {
+		t.Fatal("checker missed a stale busy-port bit")
+	}
+	if !strings.Contains(err.Error(), "router 1 busy-port mask") {
+		t.Fatalf("violation does not name the router: %v", err)
 	}
 }
 
@@ -218,13 +264,12 @@ func TestCheckerWatchdog(t *testing.T) {
 	n.creditM[out/n.maxP] &^= uint64(1) << uint32(out%n.maxP)
 	n.pkts = append(n.pkts, packetInfo{dst: 0})
 	// Setting vcActive before the push keeps the VC out of the RC/VA scan
-	// mask (pushVC only queues pipeline work for non-active VCs), exactly
+	// mask (markBusy only queues pipeline work for non-active VCs), exactly
 	// the mid-packet state a real stuck tail would be in.
 	n.vcStatus[0] = vcActive
-	if n.pushVC(0, flit{pkt: 0, last: true}) == 0 {
-		n.markBusy(0, 0, 0, 0)
-	}
-	n.vcOutPort[0] = int32(out % n.maxP)
+	n.pushVC(0, 0, packFlit(flit{pkt: 0, last: true}))
+	n.markBusy(0, 0, 0, 0)
+	n.vcOutPort[0] = uint8(out % n.maxP)
 	n.vcOutVC[0] = 0
 	n.outFreeVC[out] &^= 1
 	n.routerOcc[0]++

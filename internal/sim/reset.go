@@ -14,8 +14,9 @@ import "waferswitch/internal/obs"
 //     (latVals/classOff/classCnt/classHot, packed producer offsets),
 //     port wiring (feedCh/outCh, rcOfIn) and terminal wiring — none of
 //     it changes across runs.
-//   - Resettable: everything a cycle can write — VC rings and status,
-//     port masks, credits, channel ring slab, source queues, the packet
+//   - Resettable: everything a cycle can write — buffer pools (flit
+//     slots, slot links, free lists), VC chains and status, port
+//     masks, credits, channel ring slab, source queues, the packet
 //     table, RNG states, counters and observer attachments. Reset
 //     rewinds all of it by truncating slices to zero length and zeroing
 //     arrays in place.
@@ -27,9 +28,10 @@ import "waferswitch/internal/obs"
 // Build uses; truncated slices replay identical append sequences within
 // retained capacity, and Go's append semantics make capacity invisible
 // to behavior. Stale bytes can only survive where no read can reach
-// them (e.g. slab words outside every VC's zero-length ring window, and
-// even those are cleared below so Snapshot-style scans cannot tell the
-// difference).
+// them: every VC chain is empty and every slot is back on its port's
+// free list in Build's order, so no flit word in the slab is reachable.
+// The slab is cleared anyway, so a scan of the raw words cannot tell the
+// difference either.
 
 // Reset rewinds the network to the pristine just-built state, reseeded
 // with seed, reusing every backing array. All observers (probe,
@@ -38,7 +40,8 @@ import "waferswitch/internal/obs"
 // run needs.
 func (n *Network) Reset(seed int64) {
 	clear(n.slab)
-	clear(n.vcHL)
+	n.initFreeLists()
+	clear(n.vcQ)
 	clear(n.vcStatus)
 	clear(n.vcRCLeft)
 	clear(n.vcOutPort)
@@ -47,6 +50,7 @@ func (n *Network) Reset(seed int64) {
 	clear(n.vcAttribHead)
 	clear(n.inState)
 	clear(n.portPipeM)
+	clear(n.portBusyM)
 	clear(n.routerOcc)
 	clear(n.ringSlab)
 	clear(n.classSlotBase)
@@ -106,7 +110,6 @@ func (n *Network) Reset(seed int64) {
 	// Clock and statistics.
 	n.now = 0
 	n.measStart, n.measEnd = 0, 0
-	n.latencySum = 0
 	clear(n.latSumR)
 	n.latHist = obs.Histogram{}
 	n.completed = 0

@@ -96,11 +96,6 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 	if window < 1 {
 		window = 1
 	}
-	var conv *convState
-	if cfg.ConvergeRelErr > 0 {
-		conv = newConvState(cfg)
-	}
-	converged := false
 	for n.now = 0; n.now < n.measEnd; n.now++ {
 		n.step(inj)
 		if n.logger != nil && (n.now+1)%window == 0 {
@@ -109,21 +104,11 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 				"born", n.measuredBorn, "completed", n.completed,
 				"ejected_flits", n.ejectedFlits)
 		}
-		// Divergence detection and the convergence stopping rule both run
-		// on fixed cycle cadences relative to the measurement start, so
-		// their decisions are pure functions of the seed.
-		if (n.ab != nil || conv != nil) && n.now >= n.measStart {
-			elapsed := n.now - n.measStart + 1
-			if n.ab != nil && elapsed%n.ab.every == 0 {
-				n.ab.measureCheck(n, offered)
-			}
-			if conv != nil && elapsed%conv.batch == 0 && n.now+1 < n.measEnd {
-				conv.endBatch(n)
-				if conv.stable() {
-					n.measEnd = n.now + 1 // close the window; drain follows
-					converged = true
-				}
-			}
+		// Divergence detection runs on a fixed cycle cadence relative to
+		// the measurement start, so its decisions are pure functions of
+		// the seed.
+		if n.ab != nil && n.now >= n.measStart && (n.now-n.measStart+1)%n.ab.every == 0 {
+			n.ab.measureCheck(n, offered)
 		}
 	}
 	deadline := n.measEnd + drain
@@ -166,7 +151,6 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		Completed: n.completed,
 		Drained:   n.completed >= n.measuredBorn,
 		Aborted:   aborted,
-		Converged: converged,
 		Cycles:    n.now,
 	}
 	if n.completed > 0 {
@@ -175,7 +159,6 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		// float addition order independently of completion order, so
 		// this simulator and the reference simulator agree bitwise.
 		sum := n.foldLatSum()
-		n.latencySum = sum
 		n.latHist.SetSum(sum)
 		st.AvgLatency = sum / float64(n.completed)
 		st.P50Latency = n.latHist.Percentile(0.50)
@@ -202,6 +185,13 @@ func (n *Network) Run(inj Injector, offered float64) Stats {
 		}
 	}
 	return st
+}
+
+// measured reports whether a packet born at cycle born belongs to the
+// measurement window: it is counted in measuredBorn, and its latency in
+// Stats.
+func (n *Network) measured(born int64) bool {
+	return born >= n.measStart && born < n.measEnd
 }
 
 // foldLatSum folds the per-router latency sums in ascending router
@@ -271,43 +261,51 @@ func (n *Network) recordOccupancy() {
 	}
 }
 
-// pushVC appends a flit to input VC gv's ring and returns the queue
-// length before the push. A zero return means the VC just turned
-// non-empty: the caller must follow up with markBusy so the port-level
-// masks track it (split out to keep pushVC under the inlining budget —
-// past the saturation knee almost every arrival joins an already-backed-
-// up queue and never needs the mask update).
-func (n *Network) pushVC(gv int32, f flit) int32 {
-	hl := n.vcHL[gv]
-	l := int32(hl & 0xffff)
-	pos := int32(hl>>16) + l
-	if pos >= n.bufPP {
-		pos -= n.bufPP
+// pushVC appends packed flit w (see packFlit) to input VC gv of input
+// port in: it takes the head of the port's free list and links it after
+// the VC's tail (credits guarantee a free slot). When the VC was empty
+// (its length is now 1), the caller must follow up with markBusy so the
+// port-level masks track it — split out, with the length test left to
+// the caller, to keep pushVC under the inlining budget: past the
+// saturation knee almost every arrival joins an already-backed-up queue
+// and never needs the mask update.
+func (n *Network) pushVC(in, gv int32, w uint32) {
+	base := in * n.bufPP
+	ps := &n.inState[in]
+	s := ps.free
+	ps.free = n.next[base+int32(s)]
+	n.slab[base+int32(s)] = w
+	q := &n.vcQ[gv]
+	if q.n != 0 {
+		n.next[base+int32(q.tail)] = s
+	} else {
+		q.head = s
 	}
-	n.slab[gv*n.bufPP+pos] = packFlit(f)
-	n.vcHL[gv] = hl + 1
-	return l
+	q.tail = s
+	q.n++
 }
 
 // markBusy flags VC gv as newly non-empty in its port's masks: the VC
-// turns busy, and — unless it is mid-packet (vcActive, receiving body
-// flits) — it owes pipeline work, flagged in both the port's VC mask
-// and router r's port summary mask (Build caps routers at 64 ports, so
-// every port has a bit).
+// turns busy, port p turns busy in router r's summary mask, and —
+// unless the VC is mid-packet (vcActive, receiving body flits) — it
+// owes pipeline work, flagged in both the port's VC mask and router r's
+// pipe summary mask (Build caps routers at 64 ports, so every port has
+// a bit).
 func (n *Network) markBusy(in, gv, r, p int32) {
 	bit := uint64(1) << (gv - in*int32(n.V))
 	ps := &n.inState[in]
 	ps.busy |= bit
+	n.portBusyM[r] |= uint64(1) << uint32(p)
 	if n.vcStatus[gv] != vcActive {
 		ps.pipe |= bit
 		n.portPipeM[r] |= uint64(1) << uint32(p)
 	}
 }
 
-// frontVC returns the head flit of input VC gv (which must be
-// non-empty).
-func (n *Network) frontVC(gv int32) flit {
-	return unpackFlit(n.slab[gv*n.bufPP+int32(n.vcHL[gv]>>16)])
+// frontVC returns the head flit of input VC gv of input port in (which
+// must be non-empty).
+func (n *Network) frontVC(in, gv int32) flit {
+	return unpackFlit(n.slab[in*n.bufPP+int32(n.vcQ[gv].head)])
 }
 
 // arrivals delivers flits and credits whose channel latency elapsed.
@@ -338,7 +336,8 @@ func (n *Network) arrivals() {
 				f, vc := unpackEv(w)
 				in := rec.dstR*maxP + rec.dstP
 				gv := in*V + vc
-				if n.pushVC(gv, f) == 0 {
+				n.pushVC(in, gv, packFlit(f))
+				if n.vcQ[gv].n == 1 {
 					n.markBusy(in, gv, rec.dstR, rec.dstP)
 				}
 				n.routerOcc[rec.dstR]++
@@ -413,26 +412,26 @@ func (n *Network) routerRCVA(r int) {
 				st = vcRouting
 				vcRCLeft[gv] = n.rcOfIn[in]
 				if n.at != nil {
-					n.atRCStart(n.frontVC(gv).pkt, r)
+					n.atRCStart(n.frontVC(in, gv).pkt, r)
 				}
 			}
 			if st == vcRouting {
 				left := vcRCLeft[gv] - 1
 				vcRCLeft[gv] = left
 				if left <= 0 {
-					n.computeRoute(r, gv)
+					n.computeRoute(r, in, gv)
 					st = vcVCAlloc
 					if n.at != nil {
-						n.atRCDone(n.frontVC(gv).pkt, r)
+						n.atRCDone(n.frontVC(in, gv).pkt, r)
 					}
 					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
-							Router: int32(r), Kind: obs.TraceRC, Arg: vcOutPort[gv]})
+						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
+							Router: int32(r), Kind: obs.TraceRC, Arg: int32(vcOutPort[gv])})
 					}
 				}
 			}
 			if st == vcVCAlloc {
-				out := base + vcOutPort[gv]
+				out := base + int32(vcOutPort[gv])
 				if free := outFreeVC[out]; free != 0 {
 					// First free output VC at or after the round-robin
 					// pointer, wrapping — the bit-scan form of the old
@@ -449,7 +448,7 @@ func (n *Network) routerRCVA(r int) {
 					} else {
 						n.outRRVA[out] = rr
 					}
-					n.vcOutVC[gv] = ov
+					n.vcOutVC[gv] = uint8(ov)
 					st = vcActive
 					ps := &n.inState[in]
 					if pmNew := ps.pipe &^ (uint64(1) << v); pmNew == 0 {
@@ -459,11 +458,11 @@ func (n *Network) routerRCVA(r int) {
 						ps.pipe = pmNew
 					}
 					if n.at != nil {
-						n.atVADone(n.frontVC(gv).pkt, r)
+						n.atVADone(n.frontVC(in, gv).pkt, r)
 						n.vcAttribHead[gv] = true
 					}
 					if n.tr != nil {
-						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(gv).pkt,
+						n.tr.Record(obs.TraceEvent{Cycle: n.now, Packet: n.frontVC(in, gv).pkt,
 							Router: int32(r), Kind: obs.TraceVA, Arg: ov})
 						n.vcTraceHead[gv] = true
 					}
@@ -482,19 +481,19 @@ func (n *Network) routerRCVA(r int) {
 // spines). The destination router and egress port come from the packed
 // pktRoute word stamped at packet allocation — one dense int32 load per
 // RC instead of chasing the packet table and two terminal arrays.
-func (n *Network) computeRoute(r int, gv int32) {
-	f := n.frontVC(gv)
+func (n *Network) computeRoute(r int, in, gv int32) {
+	f := n.frontVC(in, gv)
 	route := n.pktRoute[f.pkt]
 	dr := int(route & 0xffff)
 	if dr == r {
-		n.vcOutPort[gv] = route >> 16
+		n.vcOutPort[gv] = uint8(route >> 16)
 		return
 	}
 	cands := n.nextFlat[r*n.R+dr]
 	// Lane choice keys off the packet's salt, not its table index: the
 	// salt is a pure function of (source terminal, sequence), so the
 	// route is identical under any packet-id allocator (see rng.go).
-	n.vcOutPort[gv] = cands[int(n.pktSalt[f.pkt])%len(cands)]
+	n.vcOutPort[gv] = uint8(cands[int(n.pktSalt[f.pkt])%len(cands)])
 }
 
 // routerSA performs separable switch allocation for router r and
@@ -508,7 +507,6 @@ func (n *Network) computeRoute(r int, gv int32) {
 func (n *Network) routerSA(r int) {
 	V := n.V
 	base := r * n.maxP
-	nP := int(n.numPorts[r])
 	// Local slice headers and instrumentation flags: the candidate loop
 	// is the simulator's hottest code, and stores through slice elements
 	// force re-loading n's fields every iteration unless they live in
@@ -527,13 +525,14 @@ func (n *Network) routerSA(r int) {
 	// always the cycle number; deriving the start port from the clock
 	// (now % nP, computed once per cycle per distinct port count) keeps
 	// the arbitration sequence bit-identical while letting idle routers
-	// be skipped without desynchronizing the rotation.
+	// be skipped without desynchronizing the rotation. Only ports
+	// holding flits can request: rotating the busy-port mask right by
+	// start makes one ascending bit scan visit them in the order start,
+	// start+1, ..., nP-1, 0, ..., start-1 (no bit at or above nP is ever
+	// set), the order of the dense port loop.
 	start := int(n.npRot[n.npIdx[r]])
-	for i := 0; i < nP; i++ {
-		p := start + i
-		if p >= nP {
-			p -= nP
-		}
+	for pm := bits.RotateLeft64(n.portBusyM[r], -start); pm != 0; pm &= pm - 1 {
+		p := (bits.TrailingZeros64(pm) + start) & 63
 		in := base + p
 		// Request mask: non-empty VCs in vcActive. Scanned in the
 		// round-robin order the dense loop used — bits at or after the
@@ -598,21 +597,27 @@ func (n *Network) routerSA(r int) {
 // site to keep divisions out of the per-flit path.
 func (n *Network) forward(r, out, winnerVC, inPort int) {
 	gv := int32(winnerVC)
-	// Pop the head flit of gv's ring in place (the only pop site, inlined
-	// so the per-flit path keeps queue state in registers), clearing the
-	// port's busy bit when the ring empties.
-	buf := n.bufPP
-	hl := n.vcHL[gv]
-	h := int32(hl >> 16)
-	f := unpackFlit(n.slab[gv*buf+h])
-	h++
-	if h == buf {
-		h = 0
-	}
-	left := hl&0xffff - 1
-	n.vcHL[gv] = uint32(h)<<16 | left
+	// Pop the head flit of gv's chain in place (the only pop site,
+	// inlined so the per-flit path keeps queue state in registers) and
+	// return its slot to the front of the port's free list, clearing the
+	// port's busy bit when the chain empties and the router's busy-port
+	// bit when the port empties.
+	base := int32(inPort) * n.bufPP
+	q := &n.vcQ[gv]
+	ps := &n.inState[inPort]
+	h := q.head
+	s := base + int32(h)
+	f := unpackFlit(n.slab[s])
+	q.head = n.next[s]
+	n.next[s] = ps.free
+	ps.free = h
+	left := q.n - 1
+	q.n = left
 	if left == 0 {
-		n.inState[inPort].busy &^= uint64(1) << (gv - int32(inPort)*int32(n.V))
+		ps.busy &^= uint64(1) << (gv - int32(inPort)*int32(n.V))
+		if ps.busy == 0 {
+			n.portBusyM[r] &^= uint64(1) << uint32(inPort-r*n.maxP)
+		}
 	}
 	n.routerOcc[r]--
 	if n.tr != nil && n.vcTraceHead[gv] {
@@ -637,7 +642,7 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 	if lp := n.outLP[o]; lp >= 0 {
 		// OR, not assign: the slot word may already carry this cycle's
 		// returning credit for the same channel.
-		n.ringSlab[n.classSlotBase[lp&0x7fffffff]+int32(lp>>31)] |= packEv(f.pkt, f.last, n.vcOutVC[gv])
+		n.ringSlab[n.classSlotBase[lp&0x7fffffff]+int32(lp>>31)] |= packEv(f.pkt, f.last, int32(n.vcOutVC[gv]))
 		c := n.outCredits[o] - 1
 		n.outCredits[o] = c
 		if c == 0 {
@@ -682,7 +687,6 @@ func (n *Network) forward(r, out, winnerVC, inPort int) {
 		// again, so it rejoins the RC/VA scan mask.
 		n.outFreeVC[o] |= uint64(1) << n.vcOutVC[gv]
 		n.vcStatus[gv] = vcIdle
-		n.vcOutPort[gv], n.vcOutVC[gv] = -1, -1
 		if left > 0 {
 			n.inState[inPort].pipe |= uint64(1) << (winnerVC - inPort*n.V)
 			n.portPipeM[r] |= uint64(1) << uint32(inPort-r*n.maxP)
@@ -700,8 +704,8 @@ func (n *Network) completePacket(pkt int32, r int) {
 	if n.at != nil {
 		n.atComplete(pkt, pi, lat, r)
 	}
-	if pi.measured {
-		n.latencySum += lat
+	measured := n.measured(pi.born)
+	if measured {
 		n.latSumR[r] += lat
 		n.latHist.Observe(lat)
 		n.completed++
@@ -718,7 +722,7 @@ func (n *Network) completePacket(pkt int32, r int) {
 	if n.recordDeliv {
 		n.deliveries = append(n.deliveries, Delivery{
 			Src: pi.src, Dst: pi.dst, Size: pi.size,
-			Born: pi.born, Done: n.now, Measured: pi.measured,
+			Born: pi.born, Done: n.now, Measured: measured,
 		})
 	}
 	n.freePkts = append(n.freePkts, pkt)
@@ -750,13 +754,10 @@ func (n *Network) inject(inj Injector) {
 		// backlog never injects must not report a clean drain.
 		if len(q)-int(head) < maxPendingPerTerm {
 			if dst, flits, ok := inj.Generate(t, n.now, n.termRng[t]); ok {
-				measured := n.now >= n.measStart && n.now < n.measEnd
-				if measured {
+				if n.measured(n.now) {
 					n.measuredBorn++
 				}
-				q = append(q, pendingPkt{
-					dst: int32(dst), size: int32(flits), born: n.now, measured: measured,
-				})
+				q = append(q, pendingPkt{dst: int32(dst), size: int32(flits), born: n.now})
 				srcQ[t] = q
 			}
 		}
@@ -816,10 +817,7 @@ func (n *Network) allocPacket(t int, pp *pendingPkt) int32 {
 		n.pktSalt = append(n.pktSalt, 0)
 		pkt = int32(len(n.pkts) - 1)
 	}
-	n.pkts[pkt] = packetInfo{
-		src: int32(t), dst: pp.dst, size: pp.size,
-		born: pp.born, measured: pp.measured,
-	}
+	n.pkts[pkt] = packetInfo{src: int32(t), dst: pp.dst, size: pp.size, born: pp.born}
 	n.pktRoute[pkt] = n.destRouter[pp.dst] | n.egressPort[pp.dst]<<16
 	n.pktSalt[pkt] = PacketSalt(int32(t), n.termSeq[t])
 	n.termSeq[t]++

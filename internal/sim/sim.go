@@ -25,7 +25,9 @@ type Config struct {
 	// NumVCs is the number of virtual channels per input port.
 	NumVCs int
 	// BufPerPort is the shared input buffer per port, in flits, split on
-	// demand across its VCs (the paper's shared buffer policy).
+	// demand across its VCs (the paper's shared buffer policy): each input
+	// port owns one pool of BufPerPort flit slots that all of its VCs draw
+	// from, and credits stop upstream routers from sending more.
 	BufPerPort int
 	// PacketFlits is the packet size for synthetic traffic.
 	PacketFlits int
@@ -55,24 +57,6 @@ type Config struct {
 
 	Seed int64
 
-	// ConvergeRelErr, when positive, enables convergence-bounded
-	// measurement: the measurement window is split into fixed-length
-	// batches and closes early once the 95% confidence half-width of the
-	// batch-mean latency falls below ConvergeRelErr of the mean (the
-	// classic batch-means stopping rule). MeasureCycles remains the
-	// upper bound, so a run that never stabilizes behaves exactly like
-	// the default; the default fixed-cycle mode (zero) is untouched.
-	// Accepted throughput is normalized by the cycles actually measured.
-	// The rule is evaluated on fixed batch boundaries from state that is
-	// a pure function of the seed, so converged runs stay deterministic.
-	ConvergeRelErr float64
-	// ConvergeBatch is the batch length in cycles (default
-	// MeasureCycles/16, minimum 64).
-	ConvergeBatch int
-	// ConvergeMinBatches is the minimum number of batches before the
-	// stopping rule may close the window (default 8).
-	ConvergeMinBatches int
-
 	// Logger, when non-nil, receives structured run events: run start,
 	// cycle-window progress (Debug), drain completion and saturation.
 	// The steady-state loop checks it once per cycle, not per flit, so a
@@ -88,7 +72,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("sim: BufPerPort = %d must hold at least one packet (%d flits)", c.BufPerPort, c.PacketFlits)
 	}
 	if c.BufPerPort > 0xffff {
-		return fmt.Errorf("sim: BufPerPort = %d (must fit 16 bits: VC ring positions are packed head|len words)", c.BufPerPort)
+		return fmt.Errorf("sim: BufPerPort = %d (must fit 16 bits: buffer slots are uint16 indices within a port)", c.BufPerPort)
 	}
 	if c.PacketFlits < 1 {
 		return fmt.Errorf("sim: PacketFlits = %d", c.PacketFlits)
@@ -98,9 +82,6 @@ func (c Config) validate() error {
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles < 1 {
 		return fmt.Errorf("sim: bad measurement window")
-	}
-	if c.ConvergeRelErr < 0 || c.ConvergeBatch < 0 || c.ConvergeMinBatches < 0 {
-		return fmt.Errorf("sim: negative convergence parameters")
 	}
 	return nil
 }
@@ -128,8 +109,8 @@ type flit struct {
 }
 
 // Buffered flits are stored packed — bit 0 tail, bits 1.. packet id —
-// so the input-buffer slab (the simulator's largest array) holds 4-byte
-// words instead of 8-byte structs, halving its cache footprint.
+// so the input-buffer slab holds 4-byte words instead of 8-byte structs,
+// halving its cache footprint.
 func packFlit(f flit) uint32 {
 	w := uint32(f.pkt) << 1
 	if f.last {
@@ -144,8 +125,8 @@ func unpackFlit(w uint32) flit {
 
 // Input-VC pipeline state lives in structure-of-arrays form on Network
 // (see build.go): flat parallel arrays indexed by the global VC index
-// gv = (router*maxP + port)*V + vc hold the queue ring position
-// (vcHL, packed head|len into the shared flit slab), the pipeline state
+// gv = (router*maxP + port)*V + vc hold the queue's chain through its
+// port's buffer pool (vcQ), the pipeline state
 // (vcStatus), the RC countdown (vcRCLeft) and the routing decision
 // (vcOutPort/vcOutVC). Per input port, two 64-bit masks index the VCs
 // worth visiting — inState.busy (non-empty) and inState.pipe (non-empty
@@ -199,12 +180,21 @@ type channel struct {
 
 // portState is one input port's VC scan state, kept in a single record
 // so the allocation loops touch one cache line per port visit: the
-// non-empty-VC mask, the owes-RC/VA mask, and the switch allocator's
-// rotating VC priority.
+// non-empty-VC mask, the owes-RC/VA mask, the switch allocator's
+// rotating VC priority, and the head of the port's free-slot list (see
+// the buffer pool on Network; it fits the record's padding).
 type portState struct {
 	busy uint64
 	pipe uint64
 	rr   int32
+	free uint16
+}
+
+// vcQueue is one input VC's FIFO: a chain of slots through its port's
+// buffer pool, from head to tail, n flits long. head and tail are
+// meaningless while n is 0.
+type vcQueue struct {
+	head, tail, n uint16
 }
 
 // chanHot is the per-channel record the arrivals stripe scan reads, in
@@ -218,12 +208,12 @@ type chanHot struct {
 	dstR, dstP, srcR, srcP int32
 }
 
-// packetInfo records one in-flight packet.
+// packetInfo records one in-flight packet. Whether it is measured
+// follows from born (see Network.measured).
 type packetInfo struct {
 	src, dst int32
 	size     int32
 	born     int64
-	measured bool
 }
 
 // Stats is the outcome of one simulation run. The struct is comparable
@@ -255,9 +245,10 @@ type Stats struct {
 	// the abort, exactly as for a budget-exhausted point. Omitted from
 	// JSON when false, so default runs serialize byte-identically.
 	Aborted bool `json:"aborted,omitempty"`
-	// Converged reports that convergence-bounded measurement (see
-	// Config.ConvergeRelErr) closed the measurement window before
-	// MeasureCycles. Omitted from JSON when false.
+	// Converged is always false: the measurement window always runs its
+	// full MeasureCycles. The field stays so that serialized Stats and
+	// the result digests built from them keep their layout. Omitted from
+	// JSON when false.
 	Converged bool `json:"converged,omitempty"`
 	// Cycles is the total simulated cycle count.
 	Cycles int64 `json:"cycles"`
